@@ -150,38 +150,109 @@ func (e *Environment) scatterTaps(taps []Tap, rng *rand.Rand) []Tap {
 	return out
 }
 
+// kernelTaps is the support of Render's windowed-sinc fractional-delay
+// kernel.
+const kernelTaps = 33
+
 // Render adds the waveform wave, transmitted at sample index txStart of the
 // destination timeline, into dst through the given taps at sample rate fs.
 // Fractional tap delays are realized with a 33-tap windowed-sinc kernel, so
 // sub-sample timing (needed by the 16 cm dual-mic geometry, ~4.7 samples
 // apart at most) is preserved. Samples beyond len(dst) are dropped.
+//
+// Summation contract: taps render one after another, and every dst[j]
+// receives a tap's terms (wave[i]·Amplitude)·kern[k] with the wave index i
+// ascending — the kernel index k descending — each one rounded multiply of
+// the pre-scaled sample by the kernel weight and one rounded add, in the
+// order of the direct scatter loop (for each i, for each k: dst[i+k] +=).
+// The kernel computes six consecutive outputs at a time in register
+// accumulators seeded from dst, running all 33 terms into them before the
+// store; outputs whose window is clipped by either end of the wave run the
+// same order one at a time. Blocks are six wide, not eight: eight
+// accumulators, their eight products and the kernel weight need 17 XMM
+// registers where Go's amd64 ABI leaves 15, so two accumulators would go
+// to the stack on every term. Zero wave samples are not skipped: their ±0
+// products leave every value but −0 unchanged, and a dst that starts at +0
+// never holds −0, since a rounded sum is −0 only when both operands are.
 func Render(dst, wave []float64, taps []Tap, txStart int, fs float64) {
-	const kernelTaps = 33
-	half := kernelTaps / 2
+	var kern [kernelTaps]float64
 	for _, tap := range taps {
 		delay := tap.DelaySec * fs
 		whole := int(math.Floor(delay))
 		frac := delay - float64(whole)
-		kern := dsp.FractionalDelayTaps(frac, kernelTaps)
-		base := txStart + whole - half
-		for i, v := range wave {
-			if v == 0 {
-				continue
-			}
-			sv := v * tap.Amplitude
-			for k, kv := range kern {
-				idx := base + i + k
-				if idx < 0 || idx >= len(dst) {
-					continue
-				}
-				dst[idx] += sv * kv
-			}
-		}
+		dsp.FractionalDelayTaps(kern[:], frac)
+		renderTap(dst, wave, tap.Amplitude, &kern, txStart+whole-kernelTaps/2)
 	}
 }
 
-// RenderFast is Render with nearest-sample tap placement; ~30× faster and
-// adequate when sub-sample timing is irrelevant (e.g. noise-floor studies).
+// renderTile is the number of outputs, a multiple of the six-output
+// block, whose pre-scaled wave samples renderTap stages on its stack at a
+// time.
+const renderTile = 510
+
+// renderTap adds amp·wave through kern into dst, kern[0] landing at
+// dst[base]: dst[j] += (wave[j-base-k]·amp)·kern[k] for every in-range k,
+// descending.
+func renderTap(dst, wave []float64, amp float64, kern *[kernelTaps]float64, base int) {
+	const last = kernelTaps - 1
+	lo := max(base, 0)
+	hi := min(base+len(wave)+last, len(dst))
+	// Outputs in [full, end) see all 33 terms; blocks of six cover as much
+	// of that span as they can.
+	full := min(max(base+last, lo), hi)
+	end := min(max(base+len(wave), full), hi)
+	var rk [kernelTaps]float64 // kern reversed: rk[m] pairs with wave[j-base-last+m]
+	for k, kv := range kern {
+		rk[last-k] = kv
+	}
+	j := lo
+	for ; j < full; j++ {
+		dst[j] = renderEdge(dst[j], wave, amp, kern, j-base)
+	}
+	// sw[m] = wave[j-base-last+m]·amp for the current tile of outputs.
+	var sw [renderTile + last]float64
+	for j+6 <= end {
+		n := min(end-j, renderTile)
+		n -= n % 6
+		w := wave[j-base-last : j-base+n]
+		t := sw[:len(w)]
+		for m, v := range w {
+			t[m] = v * amp
+		}
+		for b := 0; b < n; b += 6 {
+			s := (*[kernelTaps + 5]float64)(sw[b:])
+			d := (*[6]float64)(dst[j+b:])
+			t0, t1, t2, t3, t4, t5 := d[0], d[1], d[2], d[3], d[4], d[5]
+			for m, kv := range &rk {
+				t0 += s[m] * kv
+				t1 += s[m+1] * kv
+				t2 += s[m+2] * kv
+				t3 += s[m+3] * kv
+				t4 += s[m+4] * kv
+				t5 += s[m+5] * kv
+			}
+			d[0], d[1], d[2], d[3], d[4], d[5] = t0, t1, t2, t3, t4, t5
+		}
+		j += n
+	}
+	for ; j < hi; j++ {
+		dst[j] = renderEdge(dst[j], wave, amp, kern, j-base)
+	}
+}
+
+// renderEdge returns acc plus the terms (wave[q-k]·amp)·kern[k] of output
+// offset q that fall inside wave, k descending.
+func renderEdge(acc float64, wave []float64, amp float64, kern *[kernelTaps]float64, q int) float64 {
+	for k := min(q, kernelTaps-1); k >= 0 && q-k < len(wave); k-- {
+		sv := wave[q-k] * amp
+		acc += sv * kern[k]
+	}
+	return acc
+}
+
+// RenderFast is Render with nearest-sample tap placement: one multiply-add
+// per wave sample and tap instead of 33. Adequate when sub-sample timing is
+// irrelevant (e.g. noise-floor studies).
 func RenderFast(dst, wave []float64, taps []Tap, txStart int, fs float64) {
 	for _, tap := range taps {
 		shift := txStart + int(math.Round(tap.DelaySec*fs))

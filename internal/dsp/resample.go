@@ -2,17 +2,18 @@ package dsp
 
 import "math"
 
-// FractionalDelayTaps returns a windowed-sinc fractional-delay kernel that
-// delays a signal by delay samples (may be non-integer, must be >= 0).
-// numTaps controls kernel support; the kernel is centered so that its group
-// delay equals floor(delay at center) + frac. The returned integer part is
-// the whole-sample shift the caller applies separately; the kernel realizes
-// only the fractional remainder plus (numTaps-1)/2 inherent delay.
-func FractionalDelayTaps(frac float64, numTaps int) []float64 {
-	if numTaps <= 0 {
-		return nil
+// FractionalDelayTaps fills h with a len(h)-tap windowed-sinc
+// fractional-delay kernel. The kernel is centered so that its group delay
+// is (len(h)-1)/2 + frac samples: it realizes only the fractional
+// remainder frac (in [0, 1)) plus the inherent half-length delay, and the
+// caller applies the whole-sample shift separately. Filling a caller's
+// buffer, usually a fixed-size array on its stack, keeps per-tap kernel
+// synthesis allocation-free. An empty h is left as is.
+func FractionalDelayTaps(h []float64, frac float64) {
+	numTaps := len(h)
+	if numTaps == 0 {
+		return
 	}
-	h := make([]float64, numTaps)
 	center := float64(numTaps-1)/2 + frac
 	var sum float64
 	for i := 0; i < numTaps; i++ {
@@ -31,7 +32,6 @@ func FractionalDelayTaps(frac float64, numTaps int) []float64 {
 			h[i] /= sum
 		}
 	}
-	return h
 }
 
 // ResampleLinear resamples x by the given rate ratio (outputRate/inputRate)

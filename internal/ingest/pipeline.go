@@ -279,10 +279,11 @@ func (p *Pipeline) fanOut(rows [][]float64) {
 	}
 }
 
-// filter runs the streaming band-pass: causal direct-form FIR with
-// carried history, arithmetic identical to dsp.Filter sample for sample,
-// followed by the group-delay drop of the first delay outputs. The
-// returned slice aliases pipeline scratch, valid until the next call.
+// filter runs the streaming band-pass: the causal FIR kernel
+// dsp.FilterFrom over the carried history ++ chunk, so every output gets
+// the arithmetic of dsp.Filter over the whole stream, followed by the
+// group-delay drop of the first delay outputs. The returned slice aliases
+// pipeline scratch, valid until the next call.
 func (p *Pipeline) filter(chunk []float64) []float64 {
 	n := len(chunk)
 	if cap(p.fbuf) < p.tailLen+n {
@@ -295,19 +296,10 @@ func (p *Pipeline) filter(chunk []float64) []float64 {
 		p.fout = make([]float64, n)
 	}
 	p.fout = p.fout[:n]
-	for j := 0; j < n; j++ {
-		m := p.rawFed + j // global causal output index
-		kmax := len(p.fir)
-		if m+1 < kmax {
-			kmax = m + 1
-		}
-		base := p.tailLen + j
-		var sum float64
-		for k := 0; k < kmax; k++ {
-			sum += p.fir[k] * p.fbuf[base-k]
-		}
-		p.fout[j] = sum
-	}
+	// The history holds min(len(fir)-1, rawFed) samples, so the window of
+	// fbuf[tailLen+j] reaches before fbuf[0] exactly when the stream's own
+	// output index rawFed+j is still in the filter's warm-up.
+	dsp.FilterFrom(p.fout, p.fir, p.fbuf, p.tailLen)
 	p.rawFed += n
 	keep := len(p.fir) - 1
 	if keep > p.rawFed {

@@ -144,23 +144,26 @@ func validatePN(p sig.Params, stream []float64, start int) float64 {
 	if start < 0 || start+p.PreambleLen() > len(stream) {
 		return 0
 	}
-	segs := make([][]float64, p.NumSymbols)
+	// One pooled slab holds every PN-corrected symbol body; the
+	// correlations only read it.
+	n := p.SymbolLen
+	slab := dsp.GetF64(p.NumSymbols * n)
+	defer dsp.PutF64(slab)
 	for s := 0; s < p.NumSymbols; s++ {
 		a, b := p.SymbolAt(s)
-		seg := make([]float64, p.SymbolLen)
+		seg := slab[s*n : (s+1)*n]
 		copy(seg, stream[start+a:start+b])
 		if p.PN[s] < 0 {
 			for i := range seg {
 				seg[i] = -seg[i]
 			}
 		}
-		segs[s] = seg
 	}
 	var sum float64
 	var count int
-	for i := 0; i < len(segs); i++ {
-		for j := i + 1; j < len(segs); j++ {
-			sum += dsp.SegmentCorrelation(segs[i], segs[j])
+	for i := 0; i < p.NumSymbols; i++ {
+		for j := i + 1; j < p.NumSymbols; j++ {
+			sum += dsp.SegmentCorrelation(slab[i*n:(i+1)*n], slab[j*n:(j+1)*n])
 			count++
 		}
 	}

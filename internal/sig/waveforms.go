@@ -142,10 +142,10 @@ func BandLimitFIR(lowHz, highHz, fs float64) []float64 {
 // model the limited underwater frequency response of phone speakers.
 func BandLimit(x []float64, lowHz, highHz, fs float64) []float64 {
 	h := BandLimitFIR(lowHz, highHz, fs)
-	y := dsp.Filter(h, x)
-	// Compensate the (taps-1)/2 group delay.
-	d := (bandLimitTaps - 1) / 2
+	// Compensate the (taps-1)/2 group delay: out[i] is the causal filter
+	// output at i+d, and the last d samples stay zero.
+	d := min((bandLimitTaps-1)/2, len(x))
 	out := make([]float64, len(x))
-	copy(out, y[min(d, len(y)):])
+	dsp.FilterFrom(out[:len(x)-d], h, x, d)
 	return out
 }

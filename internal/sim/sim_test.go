@@ -186,6 +186,23 @@ func TestFullRoundFiveDevices(t *testing.T) {
 	}
 }
 
+// BenchmarkRoundDock5 is one full acoustic protocol round of the Fig. 17
+// dock testbed: network set-up and RunRound, i.e. channel rendering,
+// noise, calibration, ingest and report decode.
+func BenchmarkRoundDock5(b *testing.B) {
+	cfg := fiveDeviceDock(1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		nw, err := NewNetwork(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := nw.RunRound(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func TestRoundWithDroppedLink(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full acoustic round is expensive")
