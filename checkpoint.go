@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"uwpos/internal/wire"
 )
 
 // Checkpoint captures a System's complete mutable state between rounds.
@@ -76,16 +78,17 @@ func (g *GroupTracker) MarshalBinary() ([]byte, error) {
 // UnmarshalBinary replaces the tracker's state with an encoded one. A
 // failed decode leaves the tracker unchanged.
 func (g *GroupTracker) UnmarshalBinary(data []byte) error {
-	if len(data) < 1+8+1 {
-		return fmt.Errorf("uwpos: tracker blob truncated at %d bytes", len(data))
+	r := wire.NewReader(data)
+	if v := r.U8(); r.Err() == nil && v != groupTrackerCodecVersion {
+		return fmt.Errorf("uwpos: unknown tracker codec version %d", v)
 	}
-	if data[0] != groupTrackerCodecVersion {
-		return fmt.Errorf("uwpos: unknown tracker codec version %d", data[0])
+	lastT := r.F64()
+	seeded := r.U8()&1 != 0
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("uwpos: tracker blob: %w", err)
 	}
-	lastT := math.Float64frombits(binary.LittleEndian.Uint64(data[1:]))
-	seeded := data[9]&1 != 0
 	inner := NewGroupTracker(TrackerConfig{}).inner
-	if err := inner.UnmarshalBinary(data[10:]); err != nil {
+	if err := inner.UnmarshalBinary(r.Bytes(r.Len())); err != nil {
 		return err
 	}
 	g.inner, g.lastT, g.seeded = inner, lastT, seeded

@@ -1,10 +1,13 @@
 package uwpos
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"testing"
+
+	"uwpos/internal/wire/wiretest"
 )
 
 func checkpointTestConfig(seed int64) SystemConfig {
@@ -128,13 +131,42 @@ func TestGroupTrackerBinaryRoundTrip(t *testing.T) {
 			t.Errorf("device %d uncertainty diverged", id)
 		}
 	}
-	// Corruption leaves the tracker untouched.
-	bad := append([]byte{}, blob...)
-	bad[0] = 99
-	if err := re.UnmarshalBinary(bad); err == nil {
-		t.Error("unknown version accepted")
+	// Corruption is rejected and leaves the tracker untouched.
+	for name, bad := range wiretest.Unframed(blob) {
+		if err := re.UnmarshalBinary(bad); err == nil {
+			t.Errorf("%s: corrupt tracker blob accepted", name)
+		}
 	}
 	if re.PositionsAt(55)[1] != pa[1] {
 		t.Error("failed decode mutated tracker state")
+	}
+}
+
+// TestGroupTrackerPinnedBlob holds the tracker format still: an earlier
+// release encoded testdata/grouptracker.hex from the rounds below, so
+// the current encoder must reproduce it, and decoding it must re-encode
+// to the same bytes.
+func TestGroupTrackerPinnedBlob(t *testing.T) {
+	g := NewGroupTracker(TrackerConfig{})
+	res := &Result{Positions: []Position{
+		{Device: 0, Pos: Vec3{X: 0, Y: 0, Z: 1}},
+		{Device: 1, Pos: Vec3{X: 4, Y: 2, Z: 2}},
+		{Device: 2, Pos: Vec3{X: 7, Y: -1, Z: 1.5}},
+	}}
+	for r := 0; r < 4; r++ {
+		if err := g.AddRound(float64(r)*10, res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pinned := wiretest.Pinned(t, "grouptracker")
+	if blob, _ := g.MarshalBinary(); !bytes.Equal(blob, pinned) {
+		t.Error("encoder output differs from the pinned blob")
+	}
+	re := NewGroupTracker(TrackerConfig{})
+	if err := re.UnmarshalBinary(pinned); err != nil {
+		t.Fatal(err)
+	}
+	if blob, _ := re.MarshalBinary(); !bytes.Equal(blob, pinned) {
+		t.Error("pinned blob re-encodes differently")
 	}
 }

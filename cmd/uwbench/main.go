@@ -45,6 +45,7 @@ import (
 
 	"uwpos/internal/experiments"
 	"uwpos/internal/stats"
+	"uwpos/internal/wire"
 )
 
 type runner func(experiments.Options) *stats.Table
@@ -277,36 +278,6 @@ type checkpointFile struct {
 	Current   *shardEntry           `json:"current,omitempty"`
 }
 
-// atomicWrite lands data at path via the store.go crash-safety pattern:
-// write a sibling tmp file, fsync it, rename over the final name. A crash
-// mid-write leaves the previous snapshot intact.
-func atomicWrite(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
-}
-
 func encodePartial(id string, p *experiments.Partial, secs float64) (shardEntry, error) {
 	blob, err := p.MarshalBinary()
 	if err != nil {
@@ -505,7 +476,7 @@ func runMerge(paths []string, outPath string, workers int, stdout, stderr io.Wri
 		if err != nil {
 			return fail("%v", err)
 		}
-		if err := atomicWrite(outPath, append(blob, '\n')); err != nil {
+		if err := wire.WriteFile(outPath, append(blob, '\n')); err != nil {
 			return fail("%v", err)
 		}
 	}
@@ -701,7 +672,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		blob, err := json.Marshal(snap)
 		if err == nil {
-			err = atomicWrite(ckPath, blob)
+			err = wire.WriteFile(ckPath, blob)
 		}
 		if err != nil {
 			fmt.Fprintf(stderr, "checkpoint %s: %v\n", ckPath, err)
@@ -848,7 +819,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		if err := atomicWrite(*out, append(blob, '\n')); err != nil {
+		if err := wire.WriteFile(*out, append(blob, '\n')); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}

@@ -53,15 +53,10 @@ func TestErrTooFewDivers(t *testing.T) {
 }
 
 func TestErrNotDetected(t *testing.T) {
-	// 500 m in a shallow dock is far beyond acoustic reach: both the new
-	// and the deprecated entry points must report the sentinel.
+	// 500 m in a shallow dock is far beyond acoustic reach.
 	_, err := RangeBetween(context.Background(), RangeConfig{Env: Dock(), SeparationM: 500, Seed: 3})
 	if !errors.Is(err, ErrNotDetected) {
 		t.Errorf("RangeBetween: want ErrNotDetected, got %v", err)
-	}
-	_, _, err = RangeBetweenPositional(Dock(), 500, 2.5, 2.5, 3)
-	if !errors.Is(err, ErrNotDetected) {
-		t.Errorf("RangeBetweenPositional: want ErrNotDetected, got %v", err)
 	}
 }
 

@@ -3,6 +3,7 @@ package dsp
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -15,8 +16,34 @@ func bankOf(r *rand.Rand, lens ...int) *MatcherBank {
 	return NewMatcherBank(ms...)
 }
 
+// feedPartition drives a one-template stream session over an arbitrary
+// chunk partition of x and returns the concatenated output lags.
+func feedPartition(s *BankStream, x []float64, cuts []int) []float64 {
+	var out []float64
+	prev := 0
+	for _, c := range cuts {
+		out = append(out, s.Feed(x[prev:c])[0]...)
+		prev = c
+	}
+	out = append(out, s.Feed(x[prev:])[0]...)
+	return append(out, s.Flush()[0]...)
+}
+
+// randomCuts draws a sorted set of chunk boundaries in [0, n], including
+// degenerate empty chunks with some probability.
+func randomCuts(r *rand.Rand, n int) []int {
+	k := r.Intn(8)
+	cuts := make([]int, 0, k)
+	for i := 0; i < k; i++ {
+		cuts = append(cuts, r.Intn(n+1))
+	}
+	slices.Sort(cuts)
+	return cuts
+}
+
 // TestMatcherBankMatchesSingleScans checks the shared-forward-FFT batch
-// scan against each member matcher's own one-shot correlation.
+// scan, at both block sizes, against each member matcher's own one-shot
+// correlation.
 func TestMatcherBankMatchesSingleScans(t *testing.T) {
 	r := rand.New(rand.NewSource(50))
 	for _, lens := range [][]int{
@@ -25,24 +52,26 @@ func TestMatcherBankMatchesSingleScans(t *testing.T) {
 		{100, 9840, 2048},
 		{700},
 	} {
-		b := bankOf(r, lens...)
+		base := bankOf(r, lens...)
 		for _, nx := range []int{12000, 40000} {
 			x := randReal(r, nx)
-			raw := b.CrossCorrelateAll(x)
-			norm := b.NormalizedCrossCorrelateAll(x)
-			for i := 0; i < b.Len(); i++ {
-				mt := b.Matcher(i)
-				wantRaw := mt.CrossCorrelate(x)
-				wantNorm := mt.NormalizedCrossCorrelate(x)
-				if len(raw[i]) != len(wantRaw) {
-					t.Fatalf("lens=%v nx=%d t%d: raw length %d vs %d", lens, nx, i, len(raw[i]), len(wantRaw))
-				}
-				for k := range wantRaw {
-					if math.Abs(raw[i][k]-wantRaw[k]) > 1e-9*(1+math.Abs(wantRaw[k])) {
-						t.Fatalf("lens=%v nx=%d t%d: raw lag %d: %g vs %g", lens, nx, i, k, raw[i][k], wantRaw[k])
+			for _, b := range []*MatcherBank{base, NewMatcherBankLowLatency(base.ms...)} {
+				raw := b.CrossCorrelateAll(x)
+				norm := b.NormalizedCrossCorrelateAll(x)
+				for i := 0; i < b.Len(); i++ {
+					mt := b.Matcher(i)
+					wantRaw := mt.CrossCorrelate(x)
+					wantNorm := mt.NormalizedCrossCorrelate(x)
+					if len(raw[i]) != len(wantRaw) {
+						t.Fatalf("lens=%v nx=%d block=%d t%d: raw length %d vs %d", lens, nx, b.block, i, len(raw[i]), len(wantRaw))
 					}
-					if math.Abs(norm[i][k]-wantNorm[k]) > 1e-9 {
-						t.Fatalf("lens=%v nx=%d t%d: normalized lag %d: %g vs %g", lens, nx, i, k, norm[i][k], wantNorm[k])
+					for k := range wantRaw {
+						if math.Abs(raw[i][k]-wantRaw[k]) > 1e-9*(1+math.Abs(wantRaw[k])) {
+							t.Fatalf("lens=%v nx=%d block=%d t%d: raw lag %d: %g vs %g", lens, nx, b.block, i, k, raw[i][k], wantRaw[k])
+						}
+						if math.Abs(norm[i][k]-wantNorm[k]) > 1e-9 {
+							t.Fatalf("lens=%v nx=%d block=%d t%d: normalized lag %d: %g vs %g", lens, nx, b.block, i, k, norm[i][k], wantNorm[k])
+						}
 					}
 				}
 			}
@@ -50,50 +79,107 @@ func TestMatcherBankMatchesSingleScans(t *testing.T) {
 	}
 }
 
-// TestBankStreamMatchesOneShot checks the streaming session is
-// bit-identical to the bank's own one-shot scan for arbitrary chunk
-// partitions — both run the same absolute block grid.
+// TestBankStreamMatchesOneShot checks the streaming session, at both
+// block sizes, is bit-identical to the bank's own one-shot scan for
+// arbitrary chunk partitions — both run the same absolute block grid.
 func TestBankStreamMatchesOneShot(t *testing.T) {
 	r := rand.New(rand.NewSource(51))
-	b := bankOf(r, 512, 2000, 128)
-	for _, nx := range []int{500, 5000, 30000} {
-		x := randReal(r, nx)
-		for _, normalized := range []bool{false, true} {
-			var want [][]float64
-			if normalized {
-				want = b.NormalizedCrossCorrelateAll(x)
-			} else {
-				want = b.CrossCorrelateAll(x)
-			}
-			for trial := 0; trial < 8; trial++ {
-				got := make([][]float64, b.Len())
-				var s *BankStream
+	base := bankOf(r, 512, 2000, 128)
+	for _, b := range []*MatcherBank{base, NewMatcherBankLowLatency(base.ms...)} {
+		for _, nx := range []int{500, 5000, 30000} {
+			x := randReal(r, nx)
+			for _, normalized := range []bool{false, true} {
+				var want [][]float64
 				if normalized {
-					s = b.StreamNormalized()
+					want = b.NormalizedCrossCorrelateAll(x)
 				} else {
-					s = b.Stream()
+					want = b.CrossCorrelateAll(x)
 				}
-				collect := func(rows [][]float64) {
-					for i, row := range rows {
-						got[i] = append(got[i], row...)
+				for trial := 0; trial < 8; trial++ {
+					got := make([][]float64, b.Len())
+					var s *BankStream
+					if normalized {
+						s = b.StreamNormalized()
+					} else {
+						s = b.Stream()
 					}
-				}
-				prev := 0
-				for _, c := range randomCuts(r, nx) {
-					collect(s.Feed(x[prev:c]))
-					prev = c
-				}
-				collect(s.Feed(x[prev:]))
-				collect(s.Flush())
-				for i := range got {
-					if len(got[i]) != len(want[i]) {
-						t.Fatalf("nx=%d norm=%v t%d: length %d vs %d", nx, normalized, i, len(got[i]), len(want[i]))
-					}
-					for k := range got[i] {
-						if got[i][k] != want[i][k] {
-							t.Fatalf("nx=%d norm=%v t%d lag %d: stream %v vs one-shot %v", nx, normalized, i, k, got[i][k], want[i][k])
+					collect := func(rows [][]float64) {
+						for i, row := range rows {
+							got[i] = append(got[i], row...)
 						}
 					}
+					prev := 0
+					for _, c := range randomCuts(r, nx) {
+						collect(s.Feed(x[prev:c]))
+						prev = c
+					}
+					collect(s.Feed(x[prev:]))
+					collect(s.Flush())
+					for i := range got {
+						if len(got[i]) != len(want[i]) {
+							t.Fatalf("block=%d nx=%d norm=%v t%d: length %d vs %d", b.block, nx, normalized, i, len(got[i]), len(want[i]))
+						}
+						for k := range got[i] {
+							if got[i][k] != want[i][k] {
+								t.Fatalf("block=%d nx=%d norm=%v t%d lag %d: stream %v vs one-shot %v", b.block, nx, normalized, i, k, got[i][k], want[i][k])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBankStreamEquivalence is the one-template half of the streaming
+// equivalence harness: over randomized chunk partitions (sizes from 0 to
+// whole-stream, boundaries anywhere — including inside the template span
+// of a lag) the concatenated output of a low-latency session must match
+// Matcher.CrossCorrelate within 1e-9 per lag, and be bit-identical to the
+// single-chunk feed of the same session type.
+func TestBankStreamEquivalence(t *testing.T) {
+	r := rand.New(rand.NewSource(40))
+	for _, tc := range []struct{ nx, nh int }{
+		{500, 64},
+		{2000, 200},
+		{9000, 1024},
+		{40000, 1024}, // long enough that Matcher itself picks overlap-save
+		{300, 300},    // single lag
+		{1000, 999},
+	} {
+		x := randReal(r, tc.nx)
+		mt := NewMatcher(randReal(r, tc.nh))
+		bank := NewMatcherBankLowLatency(mt)
+		wantRaw := mt.CrossCorrelate(x)
+		wantNorm := mt.NormalizedCrossCorrelate(x)
+		oneChunkRaw := feedPartition(bank.Stream(), x, nil)
+		oneChunkNorm := feedPartition(bank.StreamNormalized(), x, nil)
+		if len(oneChunkRaw) != len(wantRaw) || len(oneChunkNorm) != len(wantNorm) {
+			t.Fatalf("nx=%d nh=%d: one-chunk lengths %d/%d, want %d", tc.nx, tc.nh, len(oneChunkRaw), len(oneChunkNorm), len(wantRaw))
+		}
+		for i := range wantRaw {
+			if math.Abs(wantRaw[i]-oneChunkRaw[i]) > 1e-9*(1+math.Abs(wantRaw[i])) {
+				t.Fatalf("nx=%d nh=%d: one-chunk raw lag %d: %g vs %g", tc.nx, tc.nh, i, oneChunkRaw[i], wantRaw[i])
+			}
+			if math.Abs(wantNorm[i]-oneChunkNorm[i]) > 1e-9 {
+				t.Fatalf("nx=%d nh=%d: one-chunk normalized lag %d: %g vs %g", tc.nx, tc.nh, i, oneChunkNorm[i], wantNorm[i])
+			}
+		}
+		for trial := 0; trial < 10; trial++ {
+			cuts := randomCuts(r, tc.nx)
+			raw := feedPartition(bank.Stream(), x, cuts)
+			norm := feedPartition(bank.StreamNormalized(), x, cuts)
+			if len(raw) != len(wantRaw) || len(norm) != len(wantNorm) {
+				t.Fatalf("nx=%d nh=%d cuts=%v: lengths %d/%d, want %d", tc.nx, tc.nh, cuts, len(raw), len(norm), len(wantRaw))
+			}
+			for i := range raw {
+				// Chunk-partition invariance is exact: same absolute block
+				// grid, same transforms, bit for bit.
+				if raw[i] != oneChunkRaw[i] {
+					t.Fatalf("nx=%d nh=%d cuts=%v: raw lag %d not bit-identical: %v vs %v", tc.nx, tc.nh, cuts, i, raw[i], oneChunkRaw[i])
+				}
+				if norm[i] != oneChunkNorm[i] {
+					t.Fatalf("nx=%d nh=%d cuts=%v: normalized lag %d not bit-identical: %v vs %v", tc.nx, tc.nh, cuts, i, norm[i], oneChunkNorm[i])
 				}
 			}
 		}
@@ -117,6 +203,58 @@ func TestMatcherBankShortStream(t *testing.T) {
 	if len(rows[0]) != 101 || len(rows[1]) != 0 {
 		t.Fatalf("stream rows %d/%d, want 101/0", len(rows[0]), len(rows[1]))
 	}
+}
+
+// TestBankStreamSampleBySample feeds a low-latency session one sample at
+// a time — the most adversarial partition — against the one-shot
+// Matcher reference.
+func TestBankStreamSampleBySample(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	x := randReal(r, 1200)
+	mt := NewMatcher(randReal(r, 100))
+	want := mt.NormalizedCrossCorrelate(x)
+	s := NewMatcherBankLowLatency(mt).StreamNormalized()
+	var got []float64
+	for i := range x {
+		got = append(got, s.Feed(x[i : i+1])[0]...)
+	}
+	got = append(got, s.Flush()[0]...)
+	if len(got) != len(want) {
+		t.Fatalf("length %d, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if math.Abs(got[i]-want[i]) > 1e-9 {
+			t.Fatalf("lag %d: %g vs %g", i, got[i], want[i])
+		}
+	}
+}
+
+func TestBankStreamShortStream(t *testing.T) {
+	bank := NewMatcherBankLowLatency(NewMatcher(randReal(rand.New(rand.NewSource(42)), 128)))
+	s := bank.Stream()
+	if got := s.Feed(make([]float64, 64))[0]; len(got) != 0 {
+		t.Fatalf("emitted %d lags before the template span filled", len(got))
+	}
+	if got := s.Flush()[0]; len(got) != 0 {
+		t.Fatalf("stream shorter than template flushed %d lags, want 0", len(got))
+	}
+	// Exactly template length: one lag.
+	s2 := bank.Stream()
+	s2.Feed(randReal(rand.New(rand.NewSource(43)), 128))
+	if got := s2.Flush()[0]; len(got) != 1 {
+		t.Fatalf("template-length stream flushed %d lags, want 1", len(got))
+	}
+}
+
+func TestBankStreamFeedAfterFlushPanics(t *testing.T) {
+	s := NewMatcherBankLowLatency(NewMatcher([]float64{1, 2, 3})).Stream()
+	s.Flush()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Feed after Flush must panic")
+		}
+	}()
+	s.Feed([]float64{1})
 }
 
 func TestMatcherBankPanics(t *testing.T) {
@@ -190,6 +328,27 @@ func TestMatcherBankConcurrentSessions(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// BenchmarkBankStream measures the chunked path on the detector's shape:
+// a 2 s stream in 4096-sample buffers against the preamble-length
+// template through a one-template low-latency bank (compare
+// BenchmarkMatcher for the one-shot cost).
+func BenchmarkBankStream(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	x := randReal(r, 88200)
+	mt := NewMatcher(randReal(r, 9840))
+	PutF64(mt.CrossCorrelatePooled(x)) // warm the spectrum cache
+	bank := NewMatcherBankLowLatency(mt)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := bank.StreamNormalized()
+		for off := 0; off < len(x); off += 4096 {
+			s.Feed(x[off:min(off+4096, len(x))])
+		}
+		s.Flush()
+	}
 }
 
 // BenchmarkMatcherBank3 scans a 2 s stream for three preamble-scale

@@ -201,61 +201,6 @@ func SegmentCorrelation(a, b []float64) float64 {
 	return sab / math.Sqrt(saa*sbb)
 }
 
-// AutoCorrelate computes the biased sample autocorrelation of x for lags
-// [0, maxLag]. Lag 0 is the signal energy / N. Large len(x)·maxLag
-// products switch to an FFT power-spectrum path, mirroring
-// CrossCorrelate's direct/FFT split.
-func AutoCorrelate(x []float64, maxLag int) []float64 {
-	if maxLag >= len(x) {
-		maxLag = len(x) - 1
-	}
-	if maxLag < 0 {
-		return nil
-	}
-	out := make([]float64, maxLag+1)
-	// Crossover: direct is O(len(x)·maxLag) multiplies; the FFT path is
-	// three half-length transforms of NextPow2(len(x)+maxLag). Short lag
-	// ranges stay direct regardless of len(x) — the padded transform
-	// would process the whole signal to produce a handful of lags.
-	if maxLag >= directCorrMin && len(x)*(maxLag+1) >= 1<<18 {
-		autoCorrFFT(x, out)
-		return out
-	}
-	n := float64(len(x))
-	for lag := 0; lag <= maxLag; lag++ {
-		var s float64
-		for i := 0; i+lag < len(x); i++ {
-			s += x[i] * x[i+lag]
-		}
-		out[lag] = s / n
-	}
-	return out
-}
-
-// autoCorrFFT fills out (len maxLag+1) with the biased autocorrelation of
-// x via the power spectrum: pad to kill circular wrap over the requested
-// lags, transform, square magnitudes, invert.
-func autoCorrFFT(x, out []float64) {
-	m := NextPow2(len(x) + len(out))
-	pad := GetF64(m)
-	defer PutF64(pad)
-	sre := GetF64(m/2 + 1)
-	defer PutF64(sre)
-	sim := GetF64(m/2 + 1)
-	defer PutF64(sim)
-	copy(pad, x)
-	rfftInto(sre, sim, pad)
-	for i := range sre {
-		sre[i] = sre[i]*sre[i] + sim[i]*sim[i] // |X|²
-		sim[i] = 0
-	}
-	irfftInto(pad, sre, sim)
-	n := float64(len(x))
-	for lag := range out {
-		out[lag] = pad[lag] / n
-	}
-}
-
 // ComplexConvolve computes the circular convolution of two equal-length
 // complex vectors using the FFT. Both inputs are left unmodified.
 // NewPlan draws on the package Bluestein cache, so repeated calls at one

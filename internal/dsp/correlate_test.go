@@ -145,70 +145,6 @@ func TestSegmentCorrelation(t *testing.T) {
 	}
 }
 
-func TestAutoCorrelateLagZeroIsMeanEnergy(t *testing.T) {
-	x := []float64{1, -1, 2, -2}
-	ac := AutoCorrelate(x, 2)
-	want := (1.0 + 1 + 4 + 4) / 4
-	if math.Abs(ac[0]-want) > 1e-12 {
-		t.Errorf("lag0 = %g, want %g", ac[0], want)
-	}
-	if len(ac) != 3 {
-		t.Errorf("got %d lags, want 3", len(ac))
-	}
-	if AutoCorrelate(x, -1) != nil {
-		t.Error("negative maxLag should give nil")
-	}
-}
-
-func TestAutoCorrelateFFTMatchesDirect(t *testing.T) {
-	// Shapes chosen to cross the FFT threshold; the direct loop is the
-	// reference.
-	r := rand.New(rand.NewSource(15))
-	for _, tc := range []struct{ n, maxLag int }{
-		{4096, 64},
-		{4096, 4095}, // full-lag autocorrelation
-		{3000, 100},  // non-pow2 signal length
-		{600, 512},   // maxLag clamped near len(x)
-	} {
-		x := make([]float64, tc.n)
-		for i := range x {
-			x[i] = r.NormFloat64()
-		}
-		direct := make([]float64, 0, tc.maxLag+1)
-		for lag := 0; lag <= tc.maxLag && lag < tc.n; lag++ {
-			var s float64
-			for i := 0; i+lag < tc.n; i++ {
-				s += x[i] * x[i+lag]
-			}
-			direct = append(direct, s/float64(tc.n))
-		}
-		fast := make([]float64, len(direct))
-		autoCorrFFT(x, fast)
-		viaAPI := AutoCorrelate(x, tc.maxLag)
-		for lag := range direct {
-			if math.Abs(fast[lag]-direct[lag]) > 1e-9 {
-				t.Fatalf("n=%d maxLag=%d: FFT path lag %d: %g vs %g", tc.n, tc.maxLag, lag, fast[lag], direct[lag])
-			}
-			if math.Abs(viaAPI[lag]-direct[lag]) > 1e-9 {
-				t.Fatalf("n=%d maxLag=%d: API lag %d: %g vs %g", tc.n, tc.maxLag, lag, viaAPI[lag], direct[lag])
-			}
-		}
-	}
-}
-
-func BenchmarkAutoCorrelateLongLag(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	x := make([]float64, 1<<14)
-	for i := range x {
-		x[i] = r.NormFloat64()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		AutoCorrelate(x, 4096)
-	}
-}
-
 func TestConvolveMatchesNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	x := make([]float64, 75)

@@ -199,42 +199,3 @@ func (p *Plan) transform(x []complex128, inverse bool) {
 		x[k] = v
 	}
 }
-
-// FFTReal transforms a real signal, returning a freshly allocated complex
-// spectrum of the same length (convenience wrapper; hot paths use Plan or
-// RFFT). Power-of-two lengths go through the half-size real transform
-// and are mirrored out by conjugate symmetry.
-func FFTReal(x []float64) []complex128 {
-	n := len(x)
-	c := make([]complex128, n)
-	if IsPow2(n) && n > 1 {
-		spec := GetC128(n/2 + 1)
-		RFFT(spec, x)
-		copy(c, spec)
-		for k := 1; k < n/2; k++ {
-			c[n-k] = cmplx.Conj(spec[k])
-		}
-		PutC128(spec)
-		return c
-	}
-	for i, v := range x {
-		c[i] = complex(v, 0)
-	}
-	// NewPlan is a cached-setup lookup (see bluesteinFor), so per-call
-	// plan construction costs nothing measurable.
-	NewPlan(n).Forward(c)
-	return c
-}
-
-// IFFTReal inverts a spectrum and returns the real part of the result.
-func IFFTReal(spec []complex128) []float64 {
-	c := GetC128(len(spec))
-	copy(c, spec)
-	NewPlan(len(c)).Inverse(c)
-	out := make([]float64, len(c))
-	for i, v := range c {
-		out[i] = real(v)
-	}
-	PutC128(c)
-	return out
-}

@@ -237,21 +237,6 @@ func TestParsevalProperty(t *testing.T) {
 	}
 }
 
-func TestFFTRealRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	x := make([]float64, 300)
-	for i := range x {
-		x[i] = r.NormFloat64()
-	}
-	spec := FFTReal(x)
-	back := IFFTReal(spec)
-	for i := range x {
-		if math.Abs(back[i]-x[i]) > 1e-9 {
-			t.Fatalf("roundtrip mismatch at %d: %g vs %g", i, back[i], x[i])
-		}
-	}
-}
-
 func TestFFTImpulseIsFlat(t *testing.T) {
 	x := make([]complex128, 64)
 	x[0] = 1

@@ -6,14 +6,14 @@ import (
 	"testing"
 )
 
-// FuzzStreamMatcherChunking fuzzes signal content and chunk-split points
-// against two references: the one-shot Matcher correlation (rounding-
-// level tolerance — different FFT block grid) and the single-chunk
-// streaming session (bit-exact — same absolute block grid by
-// construction). The template is the stream's own prefix so the fuzzer
-// controls correlation structure (plateaus, exact ties, constants)
-// directly through the input bytes.
-func FuzzStreamMatcherChunking(f *testing.F) {
+// FuzzBankStreamChunking fuzzes signal content and chunk-split points of
+// a one-template low-latency bank session against two references: the
+// one-shot Matcher correlation (rounding-level tolerance — different FFT
+// block grid) and the single-chunk streaming session (bit-exact — same
+// absolute block grid by construction). The template is the stream's own
+// prefix so the fuzzer controls correlation structure (plateaus, exact
+// ties, constants) directly through the input bytes.
+func FuzzBankStreamChunking(f *testing.F) {
 	f.Add([]byte{7, 3, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
 	f.Add(append([]byte{40, 5}, make([]byte, 400)...)) // constant signal: all-tie plateaus
 	seed := []byte{90, 200}
@@ -32,6 +32,7 @@ func FuzzStreamMatcherChunking(f *testing.F) {
 		}
 		hlen := 1 + int(header[0])%(len(x)/2)
 		mt := NewMatcher(x[:hlen])
+		bank := NewMatcherBankLowLatency(mt)
 
 		wantRaw := mt.CrossCorrelate(x)
 		wantNorm := mt.NormalizedCrossCorrelate(x)
@@ -46,8 +47,8 @@ func FuzzStreamMatcherChunking(f *testing.F) {
 				}
 			}
 		}
-		refRaw := feedPartition(mt.Stream(), x, nil)
-		refNorm := feedPartition(mt.StreamNormalized(), x, nil)
+		refRaw := feedPartition(bank.Stream(), x, nil)
+		refNorm := feedPartition(bank.StreamNormalized(), x, nil)
 		if len(refRaw) != len(wantRaw) || len(refNorm) != len(wantNorm) {
 			t.Fatalf("lengths %d/%d, want %d", len(refRaw), len(refNorm), len(wantRaw))
 		}
@@ -67,8 +68,8 @@ func FuzzStreamMatcherChunking(f *testing.F) {
 			cuts = append(cuts, int(body[k])*len(x)/256)
 		}
 		slices.Sort(cuts)
-		gotRaw := feedPartition(mt.Stream(), x, cuts)
-		gotNorm := feedPartition(mt.StreamNormalized(), x, cuts)
+		gotRaw := feedPartition(bank.Stream(), x, cuts)
+		gotNorm := feedPartition(bank.StreamNormalized(), x, cuts)
 		for i := range refRaw {
 			if gotRaw[i] != refRaw[i] {
 				t.Fatalf("cuts %v: raw lag %d not chunk-invariant: %v vs %v", cuts, i, gotRaw[i], refRaw[i])

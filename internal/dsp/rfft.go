@@ -8,16 +8,15 @@ import (
 // signal packs into an n/2-point complex transform (adjacent sample pairs
 // as re/im) and one untangle pass recovers the true spectrum, so a real
 // transform costs roughly half its complex counterpart — the reason
-// CrossCorrelate, Convolve, AutoCorrelate, Matcher and MatcherBank all
-// run on this path.
+// CrossCorrelate, Convolve, Matcher and MatcherBank all run on this path.
 //
 // Three spectrum representations exist:
 //
 //   - The public RFFT/IRFFT speak []complex128 (bins 0..n/2), the
 //     package's stable API.
-//   - The internal rfftInto/irfftInto speak natural-order split re/im
-//     planes — used where actual bin values matter (AutoCorrelate's
-//     power spectrum, template spectrum construction).
+//   - The internal rfftInto speaks natural-order split re/im planes —
+//     used where actual bin values matter (template spectrum
+//     construction).
 //   - The correlation hot paths never leave the kernel's digit-reversed
 //     packed order at all: rfftPacked (DIF forward, natural input →
 //     permuted packed spectrum), the fused folds foldSpecMulTo/foldTwo
@@ -142,39 +141,6 @@ func IRFFT(dst []float64, spec []complex128) {
 		or, oi := sr*ht.re[k]+si*ht.im[k], si*ht.re[k]-sr*ht.im[k] // s · conj(w^k)
 		zre[ip[k]], zim[ip[k]] = er-oi, ei+or                      // e + i·o
 		zre[ip[h-k]], zim[ip[h-k]] = er+oi, or-ei                  // conj(e) + i·conj(o)
-	}
-	fftSoA(zre, zim, true)
-	s := 1 / float64(h)
-	for j := 0; j < h; j++ {
-		dst[2*j] = zre[j] * s
-		dst[2*j+1] = zim[j] * s
-	}
-	PutF64(zim)
-	PutF64(zre)
-}
-
-// irfftInto is IRFFT from a split-plane spectrum (sre/sim, len n/2+1),
-// n = len(dst). Only the real parts of bins 0 and n/2 participate.
-func irfftInto(dst []float64, sre, sim []float64) {
-	n := len(dst)
-	h := n / 2
-	if n == 1 {
-		dst[0] = sre[0]
-		return
-	}
-	zre := GetF64(h)
-	zim := GetF64(h)
-	ip := ipermFor(h)
-	zre[ip[0]], zim[ip[0]] = (sre[0]+sre[h])*0.5, (sre[0]-sre[h])*0.5
-	ht := halfTwiddlesFor(n)
-	for k := 1; 2*k <= h; k++ {
-		xkr, xki := sre[k], sim[k]
-		xcr, xci := sre[h-k], -sim[h-k]
-		er, ei := (xkr+xcr)*0.5, (xki+xci)*0.5
-		sr, si := (xkr-xcr)*0.5, (xki-xci)*0.5
-		or, oi := sr*ht.re[k]+si*ht.im[k], si*ht.re[k]-sr*ht.im[k] // s · conj(w^k)
-		zre[ip[k]], zim[ip[k]] = er-oi, ei+or
-		zre[ip[h-k]], zim[ip[h-k]] = er+oi, or-ei
 	}
 	fftSoA(zre, zim, true)
 	s := 1 / float64(h)

@@ -27,13 +27,13 @@ package experiments
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math/rand"
 	"sort"
 	"strconv"
 
 	"uwpos/internal/engine"
 	"uwpos/internal/stats"
+	"uwpos/internal/wire"
 )
 
 // ik formats a small index for use in Partial key paths.
@@ -161,14 +161,13 @@ const (
 	partialVersion = 1
 )
 
-// MarshalBinary encodes the accumulator with the same framing as the
-// stats codecs: magic "UWPB", u16 version, little-endian sections
-// (sketches, counters, stage cursors — each a u32 count of
-// length-prefixed key/value entries), trailing CRC32-IEEE.
+// MarshalBinary encodes the accumulator as an internal/wire frame, magic
+// "UWPB", version 1, whose body holds three sections — sketches,
+// counters, stage cursors — each a u32 count of entries keyed by a
+// u32-length-prefixed string. A sketch entry's value is its own
+// u32-length-prefixed stats blob; counter and cursor values are i64.
 func (p *Partial) MarshalBinary() ([]byte, error) {
-	b := make([]byte, 0, 256)
-	b = append(b, partialMagic...)
-	b = binary.LittleEndian.AppendUint16(b, partialVersion)
+	b := wire.Begin(make([]byte, 0, 256), partialMagic, partialVersion)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(p.sketchOrder)))
 	for _, key := range p.sketchOrder {
 		blob, err := p.sketches[key].MarshalBinary()
@@ -179,41 +178,22 @@ func (p *Partial) MarshalBinary() ([]byte, error) {
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(blob)))
 		b = append(b, blob...)
 	}
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(p.counterOrd)))
-	for _, key := range p.counterOrd {
-		b = appendBlobString(b, key)
-		b = binary.LittleEndian.AppendUint64(b, uint64(p.counters[key]))
-	}
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(p.doneOrder)))
-	for _, key := range p.doneOrder {
-		b = appendBlobString(b, key)
-		b = binary.LittleEndian.AppendUint64(b, uint64(p.done[key]))
-	}
-	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b)), nil
+	b = appendInt64s(b, p.counterOrd, p.counters)
+	b = appendInt64s(b, p.doneOrder, p.done)
+	return wire.Seal(b), nil
 }
 
 // UnmarshalBinary restores an accumulator encoded by MarshalBinary.
 func (p *Partial) UnmarshalBinary(data []byte) error {
-	if len(data) < 10 {
-		return fmt.Errorf("experiments: partial blob too short (%d bytes)", len(data))
+	r, err := wire.Open(partialMagic, partialVersion, data)
+	if err != nil {
+		return err
 	}
-	if string(data[:4]) != partialMagic {
-		return fmt.Errorf("experiments: bad partial blob magic %q", data[:4])
-	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if got, want := binary.LittleEndian.Uint32(tail), crc32.ChecksumIEEE(body); got != want {
-		return fmt.Errorf("experiments: partial blob checksum mismatch (%08x != %08x)", got, want)
-	}
-	if v := binary.LittleEndian.Uint16(body[4:6]); v != partialVersion {
-		return fmt.Errorf("experiments: unsupported partial blob version %d", v)
-	}
-	r := blobCursor{b: body[6:]}
 	out := NewPartial()
-	nSketch := int(r.u32())
-	for i := 0; i < nSketch && r.err == nil; i++ {
-		key := r.str()
-		blob := r.bytes(int(r.u32()))
-		if r.err != nil {
+	for i, n := 0, int(r.U32()); i < n && r.Err() == nil; i++ {
+		key := readBlobString(r)
+		blob := r.Bytes(int(r.U32()))
+		if r.Err() != nil {
 			break
 		}
 		sk := new(stats.Sketch)
@@ -226,37 +206,14 @@ func (p *Partial) UnmarshalBinary(data []byte) error {
 		out.sketches[key] = sk
 		out.sketchOrder = append(out.sketchOrder, key)
 	}
-	nCounter := int(r.u32())
-	for i := 0; i < nCounter && r.err == nil; i++ {
-		key := r.str()
-		v := int64(r.u64())
-		if r.err != nil {
-			break
-		}
-		if _, dup := out.counters[key]; dup {
-			return fmt.Errorf("experiments: duplicate counter key %q in partial blob", key)
-		}
-		out.counters[key] = v
-		out.counterOrd = append(out.counterOrd, key)
+	if out.counterOrd, err = readInt64s(r, "counter", out.counters); err != nil {
+		return err
 	}
-	nDone := int(r.u32())
-	for i := 0; i < nDone && r.err == nil; i++ {
-		key := r.str()
-		v := int64(r.u64())
-		if r.err != nil {
-			break
-		}
-		if _, dup := out.done[key]; dup {
-			return fmt.Errorf("experiments: duplicate stage key %q in partial blob", key)
-		}
-		out.done[key] = v
-		out.doneOrder = append(out.doneOrder, key)
+	if out.doneOrder, err = readInt64s(r, "stage", out.done); err != nil {
+		return err
 	}
-	if r.err != nil {
-		return r.err
-	}
-	if len(r.b) != 0 {
-		return fmt.Errorf("experiments: %d trailing bytes after partial blob", len(r.b))
+	if err := r.Close(); err != nil {
+		return err
 	}
 	*p = *out
 	return nil
@@ -267,43 +224,36 @@ func appendBlobString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// blobCursor is the bounds-checked walker for partial blobs (same shape
-// as the stats codec reader, plus string/bytes fields).
-type blobCursor struct {
-	b   []byte
-	err error
+func readBlobString(r *wire.Reader) string { return string(r.Bytes(int(r.U32()))) }
+
+// appendInt64s encodes one key → i64 section in key order.
+func appendInt64s(b []byte, order []string, vals map[string]int64) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(order)))
+	for _, key := range order {
+		b = appendBlobString(b, key)
+		b = binary.LittleEndian.AppendUint64(b, uint64(vals[key]))
+	}
+	return b
 }
 
-func (r *blobCursor) bytes(n int) []byte {
-	if r.err != nil {
-		return nil
+// readInt64s decodes one key → i64 section into vals and returns its key
+// order. Read errors stay pending on r for the caller's Close.
+func readInt64s(r *wire.Reader, kind string, vals map[string]int64) ([]string, error) {
+	var order []string
+	for i, n := 0, int(r.U32()); i < n && r.Err() == nil; i++ {
+		key := readBlobString(r)
+		v := int64(r.U64())
+		if r.Err() != nil {
+			break
+		}
+		if _, dup := vals[key]; dup {
+			return nil, fmt.Errorf("experiments: duplicate %s key %q in partial blob", kind, key)
+		}
+		vals[key] = v
+		order = append(order, key)
 	}
-	if n < 0 || len(r.b) < n {
-		r.err = fmt.Errorf("experiments: partial blob truncated")
-		return nil
-	}
-	out := r.b[:n]
-	r.b = r.b[n:]
-	return out
+	return order, nil
 }
-
-func (r *blobCursor) u32() uint32 {
-	b := r.bytes(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (r *blobCursor) u64() uint64 {
-	b := r.bytes(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (r *blobCursor) str() string { return string(r.bytes(int(r.u32()))) }
 
 // stage runs one experiment stage's trials — this shard's span of the
 // global sequence [0, n), resuming past any checkpointed prefix — and

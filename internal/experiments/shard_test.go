@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"uwpos/internal/stats"
+	"uwpos/internal/wire/wiretest"
 )
 
 // shardTestIDs are the experiments the merge-identity test exercises: one
@@ -213,19 +214,27 @@ func TestPartialCodecRoundTrip(t *testing.T) {
 		t.Errorf("sketch values lost")
 	}
 
-	// Corruption: every single-byte flip must be rejected (CRC32 catches
-	// all of them), as must truncations.
-	for _, off := range []int{0, 3, 5, 9, 20, len(blob) / 2, len(blob) - 5, len(blob) - 1} {
-		bad := append([]byte(nil), blob...)
-		bad[off] ^= 0x40
+	// Corruption: the shared matrix (every truncation, every bit flip,
+	// bad magic, future version, trailing byte) must all be rejected.
+	for name, bad := range wiretest.Framed(blob) {
 		if err := NewPartial().UnmarshalBinary(bad); err == nil {
-			t.Errorf("corruption at offset %d accepted", off)
+			t.Errorf("%s: corrupt partial blob accepted", name)
 		}
 	}
-	for _, cut := range []int{0, 5, 11, len(blob) - 1} {
-		if err := NewPartial().UnmarshalBinary(blob[:cut]); err == nil {
-			t.Errorf("truncation to %d bytes accepted", cut)
-		}
+
+	// A blob an earlier release encoded from this same Partial
+	// (testdata/partial.hex): the encoder must still produce it, and it
+	// must decode and re-encode to the same bytes.
+	pinned := wiretest.Pinned(t, "partial")
+	if !bytes.Equal(blob, pinned) {
+		t.Errorf("encoder output differs from the pinned blob")
+	}
+	old := NewPartial()
+	if err := old.UnmarshalBinary(pinned); err != nil {
+		t.Fatalf("pinned blob rejected: %v", err)
+	}
+	if re, _ := old.MarshalBinary(); !bytes.Equal(re, pinned) {
+		t.Errorf("pinned blob re-encodes differently")
 	}
 }
 

@@ -16,17 +16,6 @@ import (
 	"strings"
 )
 
-// Exemption says why a function may skip the ctx-first rule.
-type Exemption string
-
-// Exemption classes. Constructors and pure in-memory state updates have
-// nothing to cancel; deprecated wrappers are frozen by compatibility.
-const (
-	ExemptConstructor Exemption = "constructor"
-	ExemptDeprecated  Exemption = "deprecated"
-	ExemptAllowlisted Exemption = "allowlisted"
-)
-
 // Report is the outcome of checking one package directory.
 type Report struct {
 	// Violations lists exported error-returning functions without a
@@ -44,7 +33,7 @@ func Check(dir string, allow map[string]string) (*Report, error) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, dir, func(fi fs.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, parser.ParseComments)
+	}, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -67,7 +56,7 @@ func Check(dir string, allow map[string]string) (*Report, error) {
 				if !returnsError(fn) {
 					continue
 				}
-				if _, ok := exemption(fn, name, allow); ok {
+				if exempt(fn, name, allow) {
 					continue
 				}
 				pos := fset.Position(fn.Pos())
@@ -126,16 +115,13 @@ func returnsError(fn *ast.FuncDecl) bool {
 	return false
 }
 
-// exemption classifies a non-conforming function as exempt, if it is.
-func exemption(fn *ast.FuncDecl, name string, allow map[string]string) (Exemption, bool) {
+// exempt reports whether a non-conforming function may skip the rule:
+// constructors have nothing to cancel, and allowlisted functions carry
+// their reason in the allowlist.
+func exempt(fn *ast.FuncDecl, name string, allow map[string]string) bool {
 	if strings.HasPrefix(fn.Name.Name, "New") {
-		return ExemptConstructor, true
+		return true
 	}
-	if fn.Doc != nil && strings.Contains(fn.Doc.Text(), "Deprecated:") {
-		return ExemptDeprecated, true
-	}
-	if _, ok := allow[name]; ok {
-		return ExemptAllowlisted, true
-	}
-	return "", false
+	_, ok := allow[name]
+	return ok
 }

@@ -1,12 +1,16 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"uwpos"
 	"uwpos/internal/faultinject"
+	"uwpos/internal/wire"
+	"uwpos/internal/wire/wiretest"
 )
 
 func testSnapshot() *sessionSnapshot {
@@ -63,23 +67,105 @@ func TestSnapshotCodecRejectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := map[string][]byte{
-		"empty":     {},
-		"bad magic": append([]byte("XXXX"), blob[4:]...),
-		"truncated": blob[:len(blob)-5],
-		"trailing":  append(append([]byte{}, blob...), 0),
-	}
-	// Any single flipped byte must fail the checksum.
-	for _, i := range []int{4, 10, len(blob) / 2, len(blob) - 1} {
-		bad := append([]byte{}, blob...)
-		bad[i] ^= 0x40
-		cases["flip@"+string(rune('0'+i%10))] = bad
-	}
-	for name, data := range cases {
+	for name, data := range wiretest.Framed(blob) {
 		if _, err := decodeSnapshot(data); err == nil {
 			t.Errorf("%s: corrupt snapshot decoded", name)
 		}
 	}
+	// Well-framed snapshots whose counters no session can reach: a
+	// restored session would report more degraded rounds than rounds, or
+	// skip the backwards-timestamp guard that HasFix arms.
+	for name, mutate := range map[string]func(*sessionSnapshot){
+		"degraded above rounds": func(sn *sessionSnapshot) { sn.Degraded = 7 },
+		"negative degraded":     func(sn *sessionSnapshot) { sn.Degraded = -1 },
+		"negative rounds":       func(sn *sessionSnapshot) { sn.Rounds, sn.Degraded, sn.HasFix = -3, 0, false },
+		"no fix after rounds":   func(sn *sessionSnapshot) { sn.HasFix = false },
+		"fix before any round":  func(sn *sessionSnapshot) { sn.Rounds, sn.Degraded = 0, 0 },
+	} {
+		sn := testSnapshot()
+		mutate(sn)
+		data, err := sn.encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := decodeSnapshot(data); err == nil {
+			t.Errorf("%s: decoded rounds=%d degraded=%d fix=%v", name, got.Rounds, got.Degraded, got.HasFix)
+		}
+	}
+}
+
+// TestSnapshotCodecPinnedBlob decodes the snapshot an earlier release's
+// uwposd wrote after two rounds of persistSpec(5) (testdata/snapshot.hex):
+// it must re-encode to the same bytes, its tracker blob too, and a
+// state dir holding it must restore on boot.
+func TestSnapshotCodecPinnedBlob(t *testing.T) {
+	pinned := wiretest.Pinned(t, "snapshot")
+	sn, err := decodeSnapshot(pinned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sn.ID != "s-1" || sn.Seed != 5 || sn.RNGDraws != 4315837 || sn.Rounds != 2 ||
+		sn.Degraded != 0 || !sn.HasFix || sn.Spec.Env != "pool" || len(sn.Spec.Divers) != 3 {
+		t.Fatalf("decoded fields %+v", sn)
+	}
+	if re, err := sn.encode(); err != nil || !bytes.Equal(re, pinned) {
+		t.Fatalf("re-encode differs from the pinned snapshot (%v)", err)
+	}
+	trk := uwpos.NewGroupTracker(uwpos.TrackerConfig{})
+	if err := trk.UnmarshalBinary(sn.Tracker); err != nil {
+		t.Fatal(err)
+	}
+	if re, err := trk.MarshalBinary(); err != nil || !bytes.Equal(re, sn.Tracker) {
+		t.Fatalf("tracker re-encode differs (%v)", err)
+	}
+
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, sn.ID+snapExt), pinned, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv := durableServer(t, dir, 1, nil)
+	if st := srv.Stats(); st.Sessions.Restored != 1 || st.Persistence.Quarantined != 0 {
+		t.Fatalf("boot restored %d, quarantined %d", st.Sessions.Restored, st.Persistence.Quarantined)
+	}
+}
+
+// FuzzSnapshotDecode feeds resealed snapshot bodies — so mutations reach
+// the field decoders instead of stopping at the checksum — through the
+// snapshot and tracker decoders. Nothing may panic, an accepted snapshot
+// must hold the counter invariants, and an accepted tracker blob must
+// survive a second round trip unchanged.
+func FuzzSnapshotDecode(f *testing.F) {
+	pinned := wiretest.Pinned(f, "snapshot")
+	synthetic, err := testSnapshot().encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(pinned[:len(pinned)-4])
+	f.Add(synthetic[:len(synthetic)-4])
+	f.Fuzz(func(t *testing.T, body []byte) {
+		sn, err := decodeSnapshot(wire.Seal(append([]byte(nil), body...)))
+		if err != nil {
+			return
+		}
+		if sn.Rounds < 0 || sn.Degraded < 0 || sn.Degraded > sn.Rounds || sn.HasFix != (sn.Rounds > 0) {
+			t.Fatalf("impossible counters accepted: rounds=%d degraded=%d fix=%v", sn.Rounds, sn.Degraded, sn.HasFix)
+		}
+		trk := uwpos.NewGroupTracker(uwpos.TrackerConfig{})
+		if err := trk.UnmarshalBinary(sn.Tracker); err != nil {
+			return
+		}
+		once, err := trk.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		again := uwpos.NewGroupTracker(uwpos.TrackerConfig{})
+		if err := again.UnmarshalBinary(once); err != nil {
+			t.Fatalf("re-encoded tracker rejected: %v", err)
+		}
+		if twice, _ := again.MarshalBinary(); !bytes.Equal(once, twice) {
+			t.Fatal("tracker encoding not stable across a round trip")
+		}
+	})
 }
 
 func TestStoreSaveLoadDelete(t *testing.T) {

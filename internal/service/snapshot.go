@@ -4,25 +4,24 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"math"
+
+	"uwpos/internal/wire"
 )
 
-// Session snapshot wire format (version 1, little-endian):
+// Session snapshot format: an internal/wire frame, magic "UWPS",
+// version 1, whose body is
 //
-//	offset  size  field
-//	0       4     magic "UWPS"
-//	4       2     format version (u16)
-//	6       2     session-ID length (u16), then the ID bytes
-//	..      4     spec length (u32), then the SessionSpec JSON
-//	..      8     effective simulation seed (i64)
-//	..      8     RNG draw cursor (u64)
-//	..      8     committed rounds (u64)
-//	..      8     degraded rounds (u64)
-//	..      8     session clock, IEEE-754 bits (u64)
-//	..      1     hasFix flag (u8)
-//	..      4     tracker blob length (u32), then the GroupTracker blob
-//	..      4     CRC32-IEEE over every preceding byte (u32)
+//	size  field
+//	2     session-ID length (u16), then the ID bytes
+//	4     spec length (u32), then the SessionSpec JSON
+//	8     effective simulation seed (i64)
+//	8     RNG draw cursor (u64)
+//	8     committed rounds (u64)
+//	8     degraded rounds (u64)
+//	8     session clock, IEEE-754 bits (u64)
+//	1     hasFix flag (u8)
+//	4     tracker blob length (u32), then the GroupTracker blob
 //
 // The spec rides along as JSON because it is already the wire shape the
 // client sent and must survive field additions; everything replayable is
@@ -60,9 +59,7 @@ func (sn *sessionSnapshot) encode() ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("service: encoding session spec: %w", err)
 	}
-	b := make([]byte, 0, 64+len(sn.ID)+len(spec)+len(sn.Tracker))
-	b = append(b, snapshotMagic...)
-	b = binary.LittleEndian.AppendUint16(b, snapshotVersion)
+	b := wire.Begin(make([]byte, 0, 64+len(sn.ID)+len(spec)+len(sn.Tracker)), snapshotMagic, snapshotVersion)
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(sn.ID)))
 	b = append(b, sn.ID...)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(spec)))
@@ -79,81 +76,38 @@ func (sn *sessionSnapshot) encode() ([]byte, error) {
 	b = append(b, fix)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(sn.Tracker)))
 	b = append(b, sn.Tracker...)
-	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b)), nil
-}
-
-// snapReader walks the wire format with bounds checking; a single error
-// flag keeps call sites linear.
-type snapReader struct {
-	b   []byte
-	err error
-}
-
-func (r *snapReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if len(r.b) < n {
-		r.err = fmt.Errorf("service: snapshot truncated (%d bytes short)", n-len(r.b))
-		return nil
-	}
-	out := r.b[:n]
-	r.b = r.b[n:]
-	return out
-}
-
-func (r *snapReader) u16() uint16 { return binary.LittleEndian.Uint16(padTo(r.take(2), 2)) }
-func (r *snapReader) u32() uint32 { return binary.LittleEndian.Uint32(padTo(r.take(4), 4)) }
-func (r *snapReader) u64() uint64 { return binary.LittleEndian.Uint64(padTo(r.take(8), 8)) }
-
-// padTo lets the fixed-width readers stay branch-free after a short take.
-func padTo(b []byte, n int) []byte {
-	if len(b) == n {
-		return b
-	}
-	return make([]byte, n)
+	return wire.Seal(b), nil
 }
 
 // decodeSnapshot verifies and parses a wire-format snapshot. Every
 // failure path is a plain error — the caller decides whether that means
-// quarantine (boot) or test failure.
+// quarantine (boot) or test failure. Counters no session can reach are
+// rejected too: a session commits HasFix with its first round, and
+// degraded rounds are a subset of committed ones.
 func decodeSnapshot(data []byte) (*sessionSnapshot, error) {
-	if len(data) < 4 {
-		return nil, fmt.Errorf("service: snapshot too short (%d bytes)", len(data))
-	}
-	if string(data[:4]) != snapshotMagic {
-		return nil, fmt.Errorf("service: bad snapshot magic %q", data[:4])
-	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if len(data) < 8 {
-		return nil, fmt.Errorf("service: snapshot too short (%d bytes)", len(data))
-	}
-	if got, want := binary.LittleEndian.Uint32(tail), crc32.ChecksumIEEE(body); got != want {
-		return nil, fmt.Errorf("service: snapshot checksum mismatch (%08x != %08x)", got, want)
-	}
-	r := &snapReader{b: body[4:]}
-	if v := r.u16(); r.err == nil && v != snapshotVersion {
-		return nil, fmt.Errorf("service: unsupported snapshot version %d", v)
+	r, err := wire.Open(snapshotMagic, snapshotVersion, data)
+	if err != nil {
+		return nil, err
 	}
 	sn := &sessionSnapshot{}
-	sn.ID = string(r.take(int(r.u16())))
-	specJSON := r.take(int(r.u32()))
-	sn.Seed = int64(r.u64())
-	sn.RNGDraws = r.u64()
-	sn.Rounds = int(r.u64())
-	sn.Degraded = int(r.u64())
-	sn.Clock = math.Float64frombits(r.u64())
-	fix := r.take(1)
-	sn.Tracker = append([]byte(nil), r.take(int(r.u32()))...)
-	if r.err != nil {
-		return nil, r.err
+	sn.ID = string(r.Bytes(int(r.U16())))
+	specJSON := r.Bytes(int(r.U32()))
+	sn.Seed = int64(r.U64())
+	sn.RNGDraws = r.U64()
+	sn.Rounds = int(r.U64())
+	sn.Degraded = int(r.U64())
+	sn.Clock = r.F64()
+	sn.HasFix = r.U8()&1 != 0
+	sn.Tracker = append([]byte(nil), r.Bytes(int(r.U32()))...)
+	if err := r.Close(); err != nil {
+		return nil, err
 	}
-	if len(r.b) != 0 {
-		return nil, fmt.Errorf("service: %d trailing bytes after snapshot", len(r.b))
+	if sn.Rounds < 0 || sn.Degraded < 0 || sn.Degraded > sn.Rounds || sn.HasFix != (sn.Rounds > 0) {
+		return nil, fmt.Errorf("service: impossible snapshot counters (rounds %d, degraded %d, fix %v)",
+			sn.Rounds, sn.Degraded, sn.HasFix)
 	}
 	if err := json.Unmarshal(specJSON, &sn.Spec); err != nil {
 		return nil, fmt.Errorf("service: decoding session spec: %w", err)
 	}
-	sn.HasFix = fix[0]&1 != 0
 	return sn, nil
 }

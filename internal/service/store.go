@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"uwpos/internal/faultinject"
+	"uwpos/internal/wire"
 )
 
 // snapExt names durable snapshot files; one file per session, named by
@@ -21,9 +22,9 @@ const snapExt = ".snap"
 const quarantineDir = "quarantine"
 
 // Store persists session snapshots in a flat state directory with
-// crash-safe writes: content goes to a temp file in the same directory,
-// is fsynced, then renamed over the final name, so a snapshot file is
-// always either the complete old version or the complete new one.
+// crash-safe writes (wire.WriteFile: temp file, fsync, rename), so a
+// snapshot file is always either the complete old version or the
+// complete new one.
 type Store struct {
 	dir string
 	inj *faultinject.Injector
@@ -44,36 +45,15 @@ func (st *Store) Dir() string { return st.dir }
 
 func (st *Store) path(id string) string { return filepath.Join(st.dir, id+snapExt) }
 
-// Save durably writes one session's snapshot blob. The temp file carries
-// the session ID plus a ".tmp" suffix, so a crash mid-write leaves at
-// worst one stale temp file that List ignores and the next Save of the
-// same session truncates.
+// Save durably writes one session's snapshot blob. A crash mid-write
+// leaves at worst one stale "<id>.snap.tmp" file, which List ignores and
+// the next Save of the same session truncates.
 func (st *Store) Save(id string, blob []byte) error {
 	if err := st.inj.WriteError("snapshot " + id); err != nil {
 		return err
 	}
-	tmp := st.path(id) + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
+	if err := wire.WriteFile(st.path(id), blob); err != nil {
 		return fmt.Errorf("service: snapshot write: %w", err)
-	}
-	if _, err := f.Write(blob); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("service: snapshot write: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("service: snapshot sync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("service: snapshot close: %w", err)
-	}
-	if err := os.Rename(tmp, st.path(id)); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("service: snapshot commit: %w", err)
 	}
 	return nil
 }

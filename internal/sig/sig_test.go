@@ -90,8 +90,13 @@ func TestBaseSymbolIsRealAndBandLimited(t *testing.T) {
 	if len(sym) != p.SymbolLen {
 		t.Fatalf("symbol length %d", len(sym))
 	}
-	// Spectrum must be confined to the occupied band.
-	spec := dsp.FFTReal(sym)
+	// Spectrum must be confined to the occupied band. SymbolLen is not a
+	// power of two, so the transform runs through a Bluestein Plan.
+	spec := make([]complex128, len(sym))
+	for i, v := range sym {
+		spec[i] = complex(v, 0)
+	}
+	dsp.NewPlan(len(spec)).Forward(spec)
 	lo, hi := p.BinRange()
 	var inBand, outBand float64
 	for k := 1; k < p.SymbolLen/2; k++ {

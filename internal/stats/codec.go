@@ -1,10 +1,8 @@
 // Binary codecs for the online accumulators. Sharded benchmark runs ship
 // per-shard Welford/Sketch state across process (and host) boundaries as
-// blobs; the wire format follows the service snapshot conventions
-// (internal/service/snapshot.go): little-endian, a 4-byte magic, a u16
-// format version, fixed-width fields, and a trailing CRC32-IEEE over
-// every preceding byte, so any torn or bit-rotted blob decodes to a clean
-// error instead of a silently wrong accumulator.
+// blobs in the internal/wire frame (magic, u16 version, little-endian
+// fixed-width fields, trailing CRC32-IEEE), so any torn or bit-rotted
+// blob decodes to a clean error instead of a silently wrong accumulator.
 //
 // Both codecs are canonical: decode followed by encode reproduces the
 // input bytes, and an encoded sketch restored on another host continues
@@ -16,9 +14,10 @@ package stats
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"math/rand"
+
+	"uwpos/internal/wire"
 )
 
 const (
@@ -28,58 +27,53 @@ const (
 	sketchVersion  = 1
 )
 
-// MarshalBinary encodes the accumulator:
+// MarshalBinary encodes the accumulator as a wire frame, magic "UWWF",
+// version 1, whose body is
 //
 //	offset  size  field
-//	0       4     magic "UWWF"
-//	4       2     format version (u16)
 //	6       8     observation count (i64)
 //	14      8     mean, IEEE-754 bits (u64)
 //	22      8     M2, IEEE-754 bits (u64)
-//	30      4     CRC32-IEEE over every preceding byte (u32)
 func (w *Welford) MarshalBinary() ([]byte, error) {
-	b := make([]byte, 0, 34)
-	b = append(b, welfordMagic...)
-	b = binary.LittleEndian.AppendUint16(b, welfordVersion)
+	b := wire.Begin(make([]byte, 0, 34), welfordMagic, welfordVersion)
 	b = binary.LittleEndian.AppendUint64(b, uint64(w.n))
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(w.mean))
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(w.m2))
-	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b)), nil
+	return wire.Seal(b), nil
 }
 
 // UnmarshalBinary restores an accumulator encoded by MarshalBinary,
-// rejecting any truncation, corruption, or unknown version.
+// rejecting any truncation, corruption, unknown version or negative
+// count.
 func (w *Welford) UnmarshalBinary(data []byte) error {
-	r, err := openBlob(welfordMagic, welfordVersion, data)
+	r, err := wire.Open(welfordMagic, welfordVersion, data)
 	if err != nil {
 		return err
 	}
-	n := int64(r.u64())
-	mean := math.Float64frombits(r.u64())
-	m2 := math.Float64frombits(r.u64())
-	if err := r.close(); err != nil {
+	n := int64(r.U64())
+	mean, m2 := r.F64(), r.F64()
+	if err := r.Close(); err != nil {
 		return err
+	}
+	if n < 0 {
+		return fmt.Errorf("stats: welford blob has negative count %d", n)
 	}
 	w.n, w.mean, w.m2 = n, mean, m2
 	return nil
 }
 
-// MarshalBinary encodes the sketch:
+// MarshalBinary encodes the sketch as a wire frame, magic "UWSK",
+// version 1, whose body is
 //
 //	offset  size  field
-//	0       4     magic "UWSK"
-//	4       2     format version (u16)
 //	6       4     capacity (u32)
 //	10      8     observation count (i64)
 //	18      8     Welford mean, IEEE-754 bits (u64)
 //	26      8     Welford M2, IEEE-754 bits (u64)
 //	34      8     reservoir RNG draw cursor (u64)
 //	42      4     retained-value count (u32), then that many f64 bit patterns
-//	..      4     CRC32-IEEE over every preceding byte (u32)
 func (s *Sketch) MarshalBinary() ([]byte, error) {
-	b := make([]byte, 0, 50+8*len(s.vals))
-	b = append(b, sketchMagic...)
-	b = binary.LittleEndian.AppendUint16(b, sketchVersion)
+	b := wire.Begin(make([]byte, 0, 50+8*len(s.vals)), sketchMagic, sketchVersion)
 	b = binary.LittleEndian.AppendUint32(b, uint32(s.cap))
 	b = binary.LittleEndian.AppendUint64(b, uint64(s.w.n))
 	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(s.w.mean))
@@ -93,36 +87,38 @@ func (s *Sketch) MarshalBinary() ([]byte, error) {
 	for _, v := range s.vals {
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 	}
-	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b)), nil
+	return wire.Seal(b), nil
 }
 
 // UnmarshalBinary restores a sketch encoded by MarshalBinary. The
 // reservoir RNG is rebuilt from the canonical seed and fast-forwarded by
 // the recorded draw cursor, so the restored sketch continues its stream
-// bit-identically to the original.
+// bit-identically to the original. Field combinations that Add and
+// equal-capacity Merge never produce are rejected: a sketch retains
+// min(n, cap) values, and exact mode (n ≤ cap) never draws from the RNG.
 func (s *Sketch) UnmarshalBinary(data []byte) error {
-	r, err := openBlob(sketchMagic, sketchVersion, data)
+	r, err := wire.Open(sketchMagic, sketchVersion, data)
 	if err != nil {
 		return err
 	}
-	capacity := int(r.u32())
-	n := int64(r.u64())
-	mean := math.Float64frombits(r.u64())
-	m2 := math.Float64frombits(r.u64())
-	draws := r.u64()
-	count := int(r.u32())
-	if r.err == nil && count > r.remaining()/8 {
-		return fmt.Errorf("stats: sketch blob claims %d values in %d bytes", count, r.remaining())
+	capacity := int(r.U32())
+	n := int64(r.U64())
+	mean, m2 := r.F64(), r.F64()
+	draws := r.U64()
+	count := int(r.U32())
+	if count > r.Len()/8 {
+		return fmt.Errorf("stats: sketch blob claims %d values in %d bytes", count, r.Len())
 	}
 	vals := make([]float64, count)
 	for i := range vals {
-		vals[i] = math.Float64frombits(r.u64())
+		vals[i] = r.F64()
 	}
-	if err := r.close(); err != nil {
+	if err := r.Close(); err != nil {
 		return err
 	}
-	if capacity < 2 || count > capacity || int64(count) > n {
-		return fmt.Errorf("stats: inconsistent sketch blob (cap %d, %d values, n %d)", capacity, count, n)
+	// count ≥ 0, so count == min(n, cap) also rules out n < 0.
+	if capacity < 2 || int64(count) != min(n, int64(capacity)) || (n <= int64(capacity) && draws != 0) {
+		return fmt.Errorf("stats: inconsistent sketch blob (cap %d, %d values, n %d, %d draws)", capacity, count, n, draws)
 	}
 	*s = Sketch{cap: capacity, vals: vals, w: Welford{n: n, mean: mean, m2: m2}}
 	if draws > 0 {
@@ -130,69 +126,4 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 		s.rng = rand.New(s.src)
 	}
 	return nil
-}
-
-// blobReader walks a framed blob with bounds checking after the magic and
-// version have been verified and the checksum stripped; a single error
-// flag keeps call sites linear (the snapReader pattern).
-type blobReader struct {
-	b   []byte
-	err error
-}
-
-// openBlob verifies framing (magic, version, trailing CRC32) and returns
-// a reader positioned after the version field.
-func openBlob(magic string, version uint16, data []byte) (*blobReader, error) {
-	if len(data) < len(magic)+6 {
-		return nil, fmt.Errorf("stats: %s blob too short (%d bytes)", magic, len(data))
-	}
-	if string(data[:4]) != magic {
-		return nil, fmt.Errorf("stats: bad blob magic %q (want %s)", data[:4], magic)
-	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if got, want := binary.LittleEndian.Uint32(tail), crc32.ChecksumIEEE(body); got != want {
-		return nil, fmt.Errorf("stats: %s blob checksum mismatch (%08x != %08x)", magic, got, want)
-	}
-	if v := binary.LittleEndian.Uint16(body[4:6]); v != version {
-		return nil, fmt.Errorf("stats: unsupported %s blob version %d", magic, v)
-	}
-	return &blobReader{b: body[6:]}, nil
-}
-
-func (r *blobReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if len(r.b) < n {
-		r.err = fmt.Errorf("stats: blob truncated (%d bytes short)", n-len(r.b))
-		return nil
-	}
-	out := r.b[:n]
-	r.b = r.b[n:]
-	return out
-}
-
-func (r *blobReader) u32() uint32 { return binary.LittleEndian.Uint32(padBlob(r.take(4), 4)) }
-func (r *blobReader) u64() uint64 { return binary.LittleEndian.Uint64(padBlob(r.take(8), 8)) }
-
-func (r *blobReader) remaining() int { return len(r.b) }
-
-// close finishes a decode: any pending read error or trailing garbage is
-// a corrupt blob.
-func (r *blobReader) close() error {
-	if r.err != nil {
-		return r.err
-	}
-	if len(r.b) != 0 {
-		return fmt.Errorf("stats: %d trailing bytes after blob", len(r.b))
-	}
-	return nil
-}
-
-// padBlob keeps the fixed-width readers branch-free after a short take.
-func padBlob(b []byte, n int) []byte {
-	if len(b) == n {
-		return b
-	}
-	return make([]byte, n)
 }

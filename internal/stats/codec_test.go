@@ -2,10 +2,14 @@ package stats
 
 import (
 	"bytes"
-	"hash/crc32"
+	"encoding"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
+
+	"uwpos/internal/wire"
+	"uwpos/internal/wire/wiretest"
 )
 
 // trialStream produces a deterministic pseudo-random value stream for
@@ -287,8 +291,8 @@ func TestSketchCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// Corruption matrix mirroring service/persist_test.go: every damaged
-// variant of a valid blob must fail decode, never yield silent garbage.
+// Every damaged variant of a valid blob must fail decode, never yield
+// silent garbage.
 func TestCodecCorruptionMatrix(t *testing.T) {
 	var w Welford
 	s := NewSketchSize(16)
@@ -311,26 +315,7 @@ func TestCodecCorruptionMatrix(t *testing.T) {
 			if err := tc.decode(tc.blob); err != nil {
 				t.Fatalf("pristine blob failed: %v", err)
 			}
-			variants := map[string][]byte{
-				"empty":     {},
-				"too-short": tc.blob[:5],
-				"truncated": tc.blob[:len(tc.blob)-3],
-				"trailing":  append(append([]byte(nil), tc.blob...), 0),
-				"bad-magic": append([]byte("XXXX"), tc.blob[4:]...),
-			}
-			for _, off := range []int{0, 4, 5, 9, len(tc.blob) / 2, len(tc.blob) - 1} {
-				flipped := append([]byte(nil), tc.blob...)
-				flipped[off] ^= 0x40
-				variants[("bit-flip-" + string(rune('a'+off%26)))] = flipped
-			}
-			// Version bump with a recomputed (valid) checksum must still fail.
-			bumped := append([]byte(nil), tc.blob...)
-			bumped[4] = 0x7f
-			body := bumped[:len(bumped)-4]
-			reseal(body, bumped)
-			variants["future-version"] = bumped
-
-			for name, blob := range variants {
+			for name, blob := range wiretest.Framed(tc.blob) {
 				if err := tc.decode(blob); err == nil {
 					t.Errorf("%s: corrupt blob decoded cleanly", name)
 				}
@@ -339,17 +324,7 @@ func TestCodecCorruptionMatrix(t *testing.T) {
 	}
 }
 
-// reseal recomputes the trailing CRC over body into the last 4 bytes of
-// blob, for crafting structurally-valid-but-semantically-bad test blobs.
-func reseal(body, blob []byte) {
-	c := crc32.ChecksumIEEE(body)
-	blob[len(blob)-4] = byte(c)
-	blob[len(blob)-3] = byte(c >> 8)
-	blob[len(blob)-2] = byte(c >> 16)
-	blob[len(blob)-1] = byte(c >> 24)
-}
-
-// Internally-inconsistent but well-framed sketch blobs must be rejected.
+// Internally-inconsistent but well-framed blobs must be rejected.
 func TestSketchCodecRejectsInconsistentFields(t *testing.T) {
 	s := NewSketchSize(16)
 	for _, v := range trialStream(2, 10) {
@@ -357,26 +332,104 @@ func TestSketchCodecRejectsInconsistentFields(t *testing.T) {
 	}
 	blob, _ := s.MarshalBinary()
 
-	corruptField := func(mutate func(b []byte)) []byte {
-		b := append([]byte(nil), blob...)
-		mutate(b)
-		reseal(b[:len(b)-4], b)
-		return b
+	// Field offsets as documented on Sketch.MarshalBinary.
+	corruptField := func(mutate func(b []byte) []byte) []byte {
+		b := append([]byte(nil), blob[:len(blob)-4]...)
+		return wire.Seal(mutate(b))
 	}
 	cases := map[string][]byte{
 		// cap 0 (< 2) is never produced by NewSketchSize.
-		"zero-cap": corruptField(func(b []byte) { b[6], b[7], b[8], b[9] = 0, 0, 0, 0 }),
+		"zero-cap": corruptField(func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[6:], 0)
+			return b
+		}),
 		// n below the retained count is impossible.
-		"count-exceeds-n": corruptField(func(b []byte) {
-			b[10], b[11], b[12], b[13], b[14], b[15], b[16], b[17] = 1, 0, 0, 0, 0, 0, 0, 0
+		"count-exceeds-n": corruptField(func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[10:], 1)
+			return b
 		}),
 		// retained count larger than the payload can hold.
-		"huge-count": corruptField(func(b []byte) { b[42], b[43], b[44], b[45] = 0xff, 0xff, 0xff, 0x7f }),
+		"huge-count": corruptField(func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[42:], 0x7fffffff)
+			return b
+		}),
+		// n=10 under cap 16 must retain all 10 values; keeping 5 would
+		// report Exact() with the mean of half the stream.
+		"count-below-min-n-cap": corruptField(func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[42:], 5)
+			return b[:46+5*8]
+		}),
+		"negative-n": corruptField(func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[10:], math.MaxUint64)
+			return b
+		}),
+		// Exact mode never draws from the reservoir RNG.
+		"draws-in-exact-mode": corruptField(func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[34:], 1)
+			return b
+		}),
 	}
 	for name, b := range cases {
 		var x Sketch
 		if err := x.UnmarshalBinary(b); err == nil {
-			t.Errorf("%s: inconsistent blob decoded cleanly", name)
+			t.Errorf("%s: inconsistent blob decoded cleanly (exact %v, mean %v)", name, x.Exact(), x.Mean())
 		}
+	}
+
+	// Welford: a negative count is as impossible as in the sketch.
+	var w Welford
+	w.Add(1)
+	wb, _ := w.MarshalBinary()
+	wb = append([]byte(nil), wb[:len(wb)-4]...)
+	binary.LittleEndian.PutUint64(wb[6:], math.MaxUint64)
+	if err := new(Welford).UnmarshalBinary(wire.Seal(wb)); err == nil {
+		t.Error("welford with negative count decoded cleanly")
+	}
+}
+
+// TestCodecPinnedBlobs holds the wire format still: the blobs in
+// testdata were encoded by an earlier release from the streams below, so
+// the current encoder must reproduce them, and decoding them must
+// re-encode to the same bytes (shard blobs and checkpoints written
+// before an upgrade stay readable after it).
+func TestCodecPinnedBlobs(t *testing.T) {
+	var w Welford
+	for _, v := range trialStream(5, 100) {
+		w.Add(v)
+	}
+	exact := NewSketchSize(64)
+	for _, v := range trialStream(9, 30) {
+		exact.Add(v)
+	}
+	reservoir := NewSketchSize(16)
+	for _, v := range trialStream(9, 100) {
+		reservoir.Add(v)
+	}
+	for _, tc := range []struct {
+		name    string
+		fresh   encoding.BinaryMarshaler
+		decoded interface {
+			encoding.BinaryMarshaler
+			encoding.BinaryUnmarshaler
+		}
+	}{
+		{"welford", &w, new(Welford)},
+		{"sketch_exact", exact, new(Sketch)},
+		{"sketch_reservoir", reservoir, new(Sketch)},
+	} {
+		pinned := wiretest.Pinned(t, tc.name)
+		if b, _ := tc.fresh.MarshalBinary(); !bytes.Equal(b, pinned) {
+			t.Errorf("%s: encoder output differs from the pinned blob", tc.name)
+		}
+		if err := tc.decoded.UnmarshalBinary(pinned); err != nil {
+			t.Errorf("%s: pinned blob rejected: %v", tc.name, err)
+			continue
+		}
+		if b, _ := tc.decoded.MarshalBinary(); !bytes.Equal(b, pinned) {
+			t.Errorf("%s: decode then encode changed the bytes", tc.name)
+		}
+	}
+	if reservoir.Exact() || reservoir.src.draws == 0 {
+		t.Fatal("reservoir pin no longer exercises the RNG cursor")
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"uwpos/internal/wire"
 )
 
 // trackerCodecVersion tags the Tracker wire format. Bump on any layout
@@ -23,8 +25,14 @@ func putF64(b []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 }
 
-func getF64(b []byte) (float64, []byte) {
-	return math.Float64frombits(binary.LittleEndian.Uint64(b)), b[8:]
+// floats lists the tracker's encoded floats in wire order.
+func (tr *Tracker) floats() [15]*float64 {
+	return [...]*float64{
+		&tr.cfg.ProcessAccel, &tr.cfg.FixStd, &tr.cfg.MaxSpeed,
+		&tr.ax.x, &tr.ax.v, &tr.ax.pxx, &tr.ax.pxv, &tr.ax.pvv,
+		&tr.ay.x, &tr.ay.v, &tr.ay.pxx, &tr.ay.pxv, &tr.ay.pvv,
+		&tr.depth, &tr.lastT,
+	}
 }
 
 // MarshalBinary encodes the complete filter state (config, both axes,
@@ -37,36 +45,28 @@ func (tr *Tracker) MarshalBinary() ([]byte, error) {
 		flags |= 1
 	}
 	b = append(b, flags)
-	for _, v := range [...]float64{
-		tr.cfg.ProcessAccel, tr.cfg.FixStd, tr.cfg.MaxSpeed,
-		tr.ax.x, tr.ax.v, tr.ax.pxx, tr.ax.pxv, tr.ax.pvv,
-		tr.ay.x, tr.ay.v, tr.ay.pxx, tr.ay.pxv, tr.ay.pvv,
-		tr.depth, tr.lastT,
-	} {
-		b = putF64(b, v)
+	for _, p := range tr.floats() {
+		b = putF64(b, *p)
 	}
 	return b, nil
 }
 
-// UnmarshalBinary replaces the tracker's state with the encoded one.
+// UnmarshalBinary replaces the tracker's state with the encoded one. A
+// failed decode leaves the tracker unchanged.
 func (tr *Tracker) UnmarshalBinary(data []byte) error {
-	if len(data) != trackerBlobLen {
-		return fmt.Errorf("track: tracker blob is %d bytes, want %d", len(data), trackerBlobLen)
+	r := wire.NewReader(data)
+	if v := r.U8(); r.Err() == nil && v != trackerCodecVersion {
+		return fmt.Errorf("track: unknown tracker codec version %d", v)
 	}
-	if data[0] != trackerCodecVersion {
-		return fmt.Errorf("track: unknown tracker codec version %d", data[0])
+	var out Tracker
+	out.initialized = r.U8()&1 != 0
+	for _, p := range out.floats() {
+		*p = r.F64()
 	}
-	tr.initialized = data[1]&1 != 0
-	b := data[2:]
-	dst := [...]*float64{
-		&tr.cfg.ProcessAccel, &tr.cfg.FixStd, &tr.cfg.MaxSpeed,
-		&tr.ax.x, &tr.ax.v, &tr.ax.pxx, &tr.ax.pxv, &tr.ax.pvv,
-		&tr.ay.x, &tr.ay.v, &tr.ay.pxx, &tr.ay.pxv, &tr.ay.pvv,
-		&tr.depth, &tr.lastT,
+	if err := r.Close(); err != nil {
+		return fmt.Errorf("track: tracker blob: %w", err)
 	}
-	for _, p := range dst {
-		*p, b = getF64(b)
-	}
+	*tr = out
 	return nil
 }
 
@@ -98,39 +98,33 @@ func (g *GroupTracker) MarshalBinary() ([]byte, error) {
 	return b, nil
 }
 
-// UnmarshalBinary replaces the group's config and filter set.
+// UnmarshalBinary replaces the group's config and filter set. A failed
+// decode leaves the group unchanged.
 func (g *GroupTracker) UnmarshalBinary(data []byte) error {
-	const head = 1 + 8*3 + 4
-	if len(data) < head {
-		return fmt.Errorf("track: group blob truncated at %d bytes", len(data))
+	r := wire.NewReader(data)
+	if v := r.U8(); r.Err() == nil && v != groupCodecVersion {
+		return fmt.Errorf("track: unknown group codec version %d", v)
 	}
-	if data[0] != groupCodecVersion {
-		return fmt.Errorf("track: unknown group codec version %d", data[0])
-	}
-	b := data[1:]
 	var cfg FilterConfig
-	cfg.ProcessAccel, b = getF64(b)
-	cfg.FixStd, b = getF64(b)
-	cfg.MaxSpeed, b = getF64(b)
-	n := binary.LittleEndian.Uint32(b)
-	b = b[4:]
-	if len(b) != int(n)*(4+trackerBlobLen) {
-		return fmt.Errorf("track: group blob holds %d bytes for %d trackers, want %d",
-			len(b), n, int(n)*(4+trackerBlobLen))
+	cfg.ProcessAccel, cfg.FixStd, cfg.MaxSpeed = r.F64(), r.F64(), r.F64()
+	n := int(r.U32())
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("track: group blob: %w", err)
+	}
+	if want := n * (4 + trackerBlobLen); r.Len() != want {
+		return fmt.Errorf("track: group blob holds %d bytes for %d trackers, want %d", r.Len(), n, want)
 	}
 	trackers := make(map[int]*Tracker, n)
-	for i := uint32(0); i < n; i++ {
-		id := int(int32(binary.LittleEndian.Uint32(b)))
-		b = b[4:]
+	for range n {
+		id := int(int32(r.U32()))
 		tr := &Tracker{}
-		if err := tr.UnmarshalBinary(b[:trackerBlobLen]); err != nil {
+		if err := tr.UnmarshalBinary(r.Bytes(trackerBlobLen)); err != nil {
 			return fmt.Errorf("track: device %d: %w", id, err)
 		}
 		if _, dup := trackers[id]; dup {
 			return fmt.Errorf("track: device %d appears twice in group blob", id)
 		}
 		trackers[id] = tr
-		b = b[trackerBlobLen:]
 	}
 	g.cfg = cfg
 	g.trackers = trackers

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"uwpos/internal/geom"
+	"uwpos/internal/wire/wiretest"
 )
 
 // feed advances a group tracker through a deterministic fix history.
@@ -98,13 +99,7 @@ func TestCodecRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cases := map[string][]byte{
-		"empty":       {},
-		"truncated":   blob[:len(blob)-3],
-		"version":     append([]byte{99}, blob[1:]...),
-		"extra bytes": append(append([]byte{}, blob...), 0xAB),
-	}
-	for name, bad := range cases {
+	for name, bad := range wiretest.Unframed(blob) {
 		re := NewGroupTracker(FilterConfig{})
 		if err := re.UnmarshalBinary(bad); err == nil {
 			t.Errorf("%s: corruption accepted", name)

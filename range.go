@@ -67,25 +67,3 @@ func RangeBetween(ctx context.Context, cfg RangeConfig) (RangeOutcome, error) {
 	}
 	return out, nil
 }
-
-// RangeBetweenPositional is the pre-context positional form of
-// RangeBetween, kept as a thin compatibility wrapper for one release.
-//
-// Deprecated: use RangeBetween(ctx, RangeConfig{...}), which adds
-// deadline/cancellation support and typed errors. The zero-value defaults
-// differ: this wrapper passes depths and seed through verbatim, exactly as
-// the old entry point did.
-func RangeBetweenPositional(env *Environment, sepM, depthA, depthB float64, seed int64) (estimated, trueDist float64, err error) {
-	nw, err := sim.NewNetwork(sim.TwoDeviceConfig(env, sepM, depthA, depthB, seed))
-	if err != nil {
-		return 0, 0, err
-	}
-	res, rerr := nw.RangeOnce(context.Background(), sim.MethodDualMic)
-	if rerr != nil {
-		return 0, 0, rerr
-	}
-	if !res.Detected {
-		return 0, res.TrueM, ErrNotDetected
-	}
-	return res.EstimatedM, res.TrueM, nil
-}

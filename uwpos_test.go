@@ -90,22 +90,6 @@ func TestRangeBetween(t *testing.T) {
 	}
 }
 
-func TestRangeBetweenPositionalCompat(t *testing.T) {
-	// The deprecated wrapper and the context API must agree exactly: same
-	// scenario build, same RNG consumption, same estimate.
-	est, tru, err := RangeBetweenPositional(Dock(), 15, 2.5, 2.5, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := RangeBetween(context.Background(), RangeConfig{Env: Dock(), SeparationM: 15, DepthAM: 2.5, DepthBM: 2.5, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est != out.EstimatedM || tru != out.TrueM {
-		t.Errorf("wrapper (%g, %g) != context API (%g, %g)", est, tru, out.EstimatedM, out.TrueM)
-	}
-}
-
 func TestSystemLocateEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full system round is expensive")
