@@ -285,9 +285,9 @@ func BenchmarkAblationReportBack(b *testing.B) {
 	b.ReportMetric(stats.Median(out["full comm"])-stats.Median(out["lossless"]), "m-comm-cost")
 }
 
-// BenchmarkAblationOutlierGate compares Algorithm 1 with and without the
-// unique-realizability gate called out in DESIGN.md: the gate prevents
-// drops that would make the topology ambiguous.
+// BenchmarkAblationOutlierGate compares Algorithm 1 with and without its
+// unique-realizability gate: the gate prevents drops that would make the
+// topology ambiguous.
 func BenchmarkAblationOutlierGate(b *testing.B) {
 	var out map[string][]float64
 	for i := 0; i < b.N; i++ {

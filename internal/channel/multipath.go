@@ -17,9 +17,6 @@ type Tap struct {
 	Bottom    int     // number of bottom reflections on this eigenray
 }
 
-// PathLen returns the unfolded ray length in metres given the sound speed.
-func (t Tap) PathLen(c float64) float64 { return t.DelaySec * c }
-
 // IsDirect reports whether the tap is the line-of-sight arrival.
 func (t Tap) IsDirect() bool { return t.Surface == 0 && t.Bottom == 0 }
 

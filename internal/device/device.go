@@ -137,21 +137,6 @@ func WatchUltra() *Model {
 	}
 }
 
-// ModelByName looks up a catalog model.
-func ModelByName(name string) (*Model, error) {
-	switch name {
-	case "galaxy-s9":
-		return GalaxyS9(), nil
-	case "pixel":
-		return Pixel(), nil
-	case "oneplus":
-		return OnePlus(), nil
-	case "watch-ultra":
-		return WatchUltra(), nil
-	}
-	return nil, fmt.Errorf("device: unknown model %q", name)
-}
-
 // Orientation is the device attitude in the world frame.
 type Orientation struct {
 	AzimuthRad float64 // rotation of the body +x axis around world z

@@ -8,20 +8,16 @@ import (
 )
 
 func TestCatalogValidates(t *testing.T) {
-	for _, name := range []string{"galaxy-s9", "pixel", "oneplus", "watch-ultra"} {
-		m, err := ModelByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for name, model := range map[string]func() *Model{
+		"galaxy-s9": GalaxyS9, "pixel": Pixel, "oneplus": OnePlus, "watch-ultra": WatchUltra,
+	} {
+		m := model()
 		if err := m.Validate(); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 		if m.Name != name {
 			t.Errorf("model %q reports name %q", name, m.Name)
 		}
-	}
-	if _, err := ModelByName("nokia-3310"); err == nil {
-		t.Error("unknown model should error")
 	}
 }
 

@@ -91,27 +91,11 @@ func (b *MatcherBank) Len() int { return len(b.ms) }
 // Matcher returns the i-th member matcher.
 func (b *MatcherBank) Matcher(i int) *Matcher { return b.ms[i] }
 
-// BlockLen returns the shared overlap-save FFT block length.
-func (b *MatcherBank) BlockLen() int { return b.block }
-
 // CrossCorrelateAll computes the valid-lag cross-correlation of every
 // template against x in one pass. out[i] has len(x)-len(template_i)+1
 // lags, or is nil when x is shorter than that template.
 func (b *MatcherBank) CrossCorrelateAll(x []float64) [][]float64 {
 	return b.correlateAll(x, false, false)
-}
-
-// NormalizedCrossCorrelateAll is CrossCorrelateAll with every output
-// normalized by template energy and local window energy (one shared
-// prefix-sum pass serves all templates), so values lie in [-1, 1].
-func (b *MatcherBank) NormalizedCrossCorrelateAll(x []float64) [][]float64 {
-	return b.correlateAll(x, true, false)
-}
-
-// CrossCorrelateAllPooled is CrossCorrelateAll with results drawn from
-// the package scratch pool; release each non-nil row with PutF64.
-func (b *MatcherBank) CrossCorrelateAllPooled(x []float64) [][]float64 {
-	return b.correlateAll(x, false, true)
 }
 
 // NormalizedCrossCorrelateAllPooled is NormalizedCrossCorrelateAll with
@@ -247,9 +231,6 @@ func newBankStream(b *MatcherBank, normalized bool) *BankStream {
 	}
 	return s
 }
-
-// Fed returns the number of stream samples consumed so far.
-func (s *BankStream) Fed() int { return s.fed }
 
 // Feed consumes one chunk and returns, per template, the correlation lags
 // that became computable. Rows alias session-owned buffers: they are

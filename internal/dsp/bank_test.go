@@ -57,11 +57,11 @@ func TestMatcherBankMatchesSingleScans(t *testing.T) {
 			x := randReal(r, nx)
 			for _, b := range []*MatcherBank{base, NewMatcherBankLowLatency(base.ms...)} {
 				raw := b.CrossCorrelateAll(x)
-				norm := b.NormalizedCrossCorrelateAll(x)
+				norm := b.correlateAll(x, true, false)
 				for i := 0; i < b.Len(); i++ {
 					mt := b.Matcher(i)
-					wantRaw := mt.CrossCorrelate(x)
-					wantNorm := mt.NormalizedCrossCorrelate(x)
+					wantRaw := mt.correlate(x, false, false)
+					wantNorm := mt.correlate(x, true, false)
 					if len(raw[i]) != len(wantRaw) {
 						t.Fatalf("lens=%v nx=%d block=%d t%d: raw length %d vs %d", lens, nx, b.block, i, len(raw[i]), len(wantRaw))
 					}
@@ -91,7 +91,7 @@ func TestBankStreamMatchesOneShot(t *testing.T) {
 			for _, normalized := range []bool{false, true} {
 				var want [][]float64
 				if normalized {
-					want = b.NormalizedCrossCorrelateAll(x)
+					want = b.correlateAll(x, true, false)
 				} else {
 					want = b.CrossCorrelateAll(x)
 				}
@@ -135,8 +135,8 @@ func TestBankStreamMatchesOneShot(t *testing.T) {
 // equivalence harness: over randomized chunk partitions (sizes from 0 to
 // whole-stream, boundaries anywhere — including inside the template span
 // of a lag) the concatenated output of a low-latency session must match
-// Matcher.CrossCorrelate within 1e-9 per lag, and be bit-identical to the
-// single-chunk feed of the same session type.
+// the matcher's own correlation within 1e-9 per lag, and be bit-identical
+// to the single-chunk feed of the same session type.
 func TestBankStreamEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(40))
 	for _, tc := range []struct{ nx, nh int }{
@@ -150,8 +150,8 @@ func TestBankStreamEquivalence(t *testing.T) {
 		x := randReal(r, tc.nx)
 		mt := NewMatcher(randReal(r, tc.nh))
 		bank := NewMatcherBankLowLatency(mt)
-		wantRaw := mt.CrossCorrelate(x)
-		wantNorm := mt.NormalizedCrossCorrelate(x)
+		wantRaw := mt.correlate(x, false, false)
+		wantNorm := mt.correlate(x, true, false)
 		oneChunkRaw := feedPartition(bank.Stream(), x, nil)
 		oneChunkNorm := feedPartition(bank.StreamNormalized(), x, nil)
 		if len(oneChunkRaw) != len(wantRaw) || len(oneChunkNorm) != len(wantNorm) {
@@ -212,7 +212,7 @@ func TestBankStreamSampleBySample(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	x := randReal(r, 1200)
 	mt := NewMatcher(randReal(r, 100))
-	want := mt.NormalizedCrossCorrelate(x)
+	want := mt.correlate(x, true, false)
 	s := NewMatcherBankLowLatency(mt).StreamNormalized()
 	var got []float64
 	for i := range x {
@@ -281,14 +281,14 @@ func TestMatcherBankConcurrentSessions(t *testing.T) {
 	r := rand.New(rand.NewSource(53))
 	b := bankOf(r, 300, 900, 128)
 	x := randReal(r, 20000)
-	want := b.NormalizedCrossCorrelateAll(x)
+	want := b.correlateAll(x, true, false)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			if g%2 == 0 {
-				got := b.NormalizedCrossCorrelateAll(x)
+				got := b.correlateAll(x, true, false)
 				for i := range got {
 					for k := range got[i] {
 						if got[i][k] != want[i][k] {
@@ -338,7 +338,7 @@ func BenchmarkBankStream(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	x := randReal(r, 88200)
 	mt := NewMatcher(randReal(r, 9840))
-	PutF64(mt.CrossCorrelatePooled(x)) // warm the spectrum cache
+	PutF64(mt.correlate(x, false, true)) // warm the spectrum cache
 	bank := NewMatcherBankLowLatency(mt)
 	b.ReportAllocs()
 	b.ResetTimer()

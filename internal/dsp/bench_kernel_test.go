@@ -21,7 +21,7 @@ func BenchmarkFFTPow2(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				copy(work, x)
-				FFT(work)
+				fftPow2(work, false)
 			}
 		})
 	}

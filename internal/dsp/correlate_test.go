@@ -21,7 +21,7 @@ func TestCrossCorrelateFindsEmbeddedTemplate(t *testing.T) {
 	for i, v := range h {
 		x[at+i] += v
 	}
-	corr := CrossCorrelate(x, h)
+	corr := NewMatcher(h).correlate(x, false, false)
 	idx, _ := Max(corr)
 	if idx != at {
 		t.Fatalf("peak at %d, want %d", idx, at)
@@ -34,11 +34,11 @@ func TestCrossCorrelateDirectEqualsFFT(t *testing.T) {
 	for i := range x {
 		x[i] = r.NormFloat64()
 	}
-	h := make([]float64, 100) // >= 64 so public path uses FFT
+	h := make([]float64, 100) // >= 64 so the matcher takes the FFT path
 	for i := range h {
 		h[i] = r.NormFloat64()
 	}
-	fast := CrossCorrelate(x, h)
+	fast := NewMatcher(h).correlate(x, false, false)
 	slow := xcorrDirect(x, h, false)
 	if len(fast) != len(slow) {
 		t.Fatalf("length mismatch %d vs %d", len(fast), len(slow))
@@ -51,16 +51,16 @@ func TestCrossCorrelateDirectEqualsFFT(t *testing.T) {
 }
 
 func TestCrossCorrelateEdgeCases(t *testing.T) {
-	if CrossCorrelate(nil, []float64{1}) != nil {
+	if NewMatcher([]float64{1}).correlate(nil, false, false) != nil {
 		t.Error("nil x should give nil")
 	}
-	if CrossCorrelate([]float64{1}, nil) != nil {
+	if NewMatcher(nil).correlate([]float64{1}, false, false) != nil {
 		t.Error("nil h should give nil")
 	}
-	if CrossCorrelate([]float64{1, 2}, []float64{1, 2, 3}) != nil {
+	if NewMatcher([]float64{1, 2, 3}).correlate([]float64{1, 2}, false, false) != nil {
 		t.Error("h longer than x should give nil")
 	}
-	got := CrossCorrelate([]float64{1, 2, 3}, []float64{1, 2, 3})
+	got := NewMatcher([]float64{1, 2, 3}).correlate([]float64{1, 2, 3}, false, false)
 	if len(got) != 1 || math.Abs(got[0]-14) > 1e-12 {
 		t.Errorf("equal-length correlation = %v, want [14]", got)
 	}
@@ -77,7 +77,7 @@ func TestNormalizedCrossCorrelateBounds(t *testing.T) {
 		for i := range h {
 			h[i] = r.NormFloat64()
 		}
-		for _, v := range NormalizedCrossCorrelate(x, h) {
+		for _, v := range NewMatcher(h).correlate(x, true, false) {
 			if v > 1+1e-9 || v < -1-1e-9 || math.IsNaN(v) {
 				return false
 			}
@@ -97,7 +97,7 @@ func TestNormalizedCrossCorrelatePerfectMatchIsOne(t *testing.T) {
 	}
 	x := make([]float64, 512)
 	copy(x[200:], h)
-	corr := NormalizedCrossCorrelate(x, h)
+	corr := NewMatcher(h).correlate(x, true, false)
 	if math.Abs(corr[200]-1) > 1e-9 {
 		t.Fatalf("exact match correlation = %g, want 1", corr[200])
 	}
@@ -105,7 +105,7 @@ func TestNormalizedCrossCorrelatePerfectMatchIsOne(t *testing.T) {
 	for i := range x {
 		x[i] *= 37.5
 	}
-	corr = NormalizedCrossCorrelate(x, h)
+	corr = NewMatcher(h).correlate(x, true, false)
 	if math.Abs(corr[200]-1) > 1e-9 {
 		t.Fatalf("scaled match correlation = %g, want 1", corr[200])
 	}
@@ -114,14 +114,14 @@ func TestNormalizedCrossCorrelatePerfectMatchIsOne(t *testing.T) {
 func TestNormalizedCrossCorrelateZeroWindow(t *testing.T) {
 	x := make([]float64, 100) // all zeros
 	h := []float64{1, -1, 1}
-	for _, v := range NormalizedCrossCorrelate(x, h) {
+	for _, v := range NewMatcher(h).correlate(x, true, false) {
 		if v != 0 {
 			t.Fatalf("zero-energy window gave %g, want 0", v)
 		}
 	}
 	// Zero-energy template.
 	x[3] = 1
-	for _, v := range NormalizedCrossCorrelate(x, make([]float64, 4)) {
+	for _, v := range NewMatcher(make([]float64, 4)).correlate(x, true, false) {
 		if v != 0 {
 			t.Fatalf("zero template gave %g, want 0", v)
 		}
@@ -145,43 +145,6 @@ func TestSegmentCorrelation(t *testing.T) {
 	}
 }
 
-func TestConvolveMatchesNaive(t *testing.T) {
-	r := rand.New(rand.NewSource(13))
-	x := make([]float64, 75)
-	k := make([]float64, 23)
-	for i := range x {
-		x[i] = r.NormFloat64()
-	}
-	for i := range k {
-		k[i] = r.NormFloat64()
-	}
-	got := Convolve(x, k)
-	want := make([]float64, len(x)+len(k)-1)
-	for i := range x {
-		for j := range k {
-			want[i+j] += x[i] * k[j]
-		}
-	}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-9 {
-			t.Fatalf("mismatch at %d: %g vs %g", i, got[i], want[i])
-		}
-	}
-}
-
-func TestComplexConvolveIdentity(t *testing.T) {
-	// Convolving with a unit impulse returns the input (circularly).
-	n := 173
-	r := rand.New(rand.NewSource(14))
-	a := randComplex(r, n)
-	d := make([]complex128, n)
-	d[0] = 1
-	got := ComplexConvolve(a, d)
-	if e := maxErrC(got, a); e > 1e-9 {
-		t.Fatalf("identity convolution error %g", e)
-	}
-}
-
 func TestCorrelationShiftProperty(t *testing.T) {
 	// Shifting the embedded template shifts the correlation peak equally.
 	f := func(seed int64) bool {
@@ -193,7 +156,7 @@ func TestCorrelationShiftProperty(t *testing.T) {
 		shift := int(uint(seed) % 500)
 		x := make([]float64, 700)
 		copy(x[shift:], h)
-		idx, _ := Max(CrossCorrelate(x, h))
+		idx, _ := Max(NewMatcher(h).correlate(x, false, false))
 		return idx == shift
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -201,26 +164,8 @@ func TestCorrelationShiftProperty(t *testing.T) {
 	}
 }
 
-func BenchmarkCrossCorrelatePreambleLen(b *testing.B) {
-	// Realistic sizes: 2 s of audio at 44.1 kHz against a 9840-sample preamble.
-	r := rand.New(rand.NewSource(1))
-	x := make([]float64, 88200)
-	for i := range x {
-		x[i] = r.NormFloat64()
-	}
-	h := make([]float64, 9840)
-	for i := range h {
-		h[i] = r.NormFloat64()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		CrossCorrelate(x, h)
-	}
-}
-
-// TestPooledCorrelateVariants: the pooled variants must match the plain
-// ones exactly and hand back buffers the pool will accept.
+// TestPooledCorrelateVariants: the bank's pooled scans must match the
+// plain ones exactly and hand back buffers the pool will accept.
 func TestPooledCorrelateVariants(t *testing.T) {
 	x := make([]float64, 900)
 	h := make([]float64, 128)
@@ -230,11 +175,12 @@ func TestPooledCorrelateVariants(t *testing.T) {
 	for i := range h {
 		h[i] = float64(i%5) - 2
 	}
-	for name, pair := range map[string][2][]float64{
-		"cross":      {CrossCorrelate(x, h), CrossCorrelatePooled(x, h)},
-		"normalized": {NormalizedCrossCorrelate(x, h), NormalizedCrossCorrelatePooled(x, h)},
+	b := NewMatcherBank(NewMatcher(h))
+	for name, pair := range map[string][2][][]float64{
+		"cross":      {b.CrossCorrelateAll(x), b.correlateAll(x, false, true)},
+		"normalized": {b.correlateAll(x, true, false), b.NormalizedCrossCorrelateAllPooled(x)},
 	} {
-		plain, pooled := pair[0], pair[1]
+		plain, pooled := pair[0][0], pair[1][0]
 		if len(plain) != len(pooled) {
 			t.Fatalf("%s: length %d vs %d", name, len(plain), len(pooled))
 		}
@@ -245,4 +191,17 @@ func TestPooledCorrelateVariants(t *testing.T) {
 		}
 		PutF64(pooled)
 	}
+}
+
+// refNormalized is the reference normalized correlation the FFT paths
+// are checked against: the direct sliding dot product, divided by the
+// window and template energies.
+func refNormalized(x, h []float64) []float64 {
+	r := xcorrDirect(x, h, false)
+	var eh float64
+	for _, v := range h {
+		eh += v * v
+	}
+	normalizeByWindowEnergy(r, x, len(h), eh)
+	return r
 }

@@ -8,13 +8,12 @@
 // setups are cached package-wide per size, and correlation functions
 // accept destination buffers.
 //
-// The two transform tiers are FFT/IFFT (complex, power-of-two, shared
-// cached twiddles) and RFFT/IRFFT (real input/output at half the cost);
-// Plan handles arbitrary lengths via Bluestein. For repeated matched
-// filtering against one known template — the receiver's dominant
-// workload — Matcher precomputes the template spectrum once and reuses it
-// for every stream (see its doc for when to prefer it over the one-shot
-// CrossCorrelate helpers).
+// Plan computes complex transforms of any length (power-of-two sizes on
+// the shared cached twiddles, others via Bluestein), and RFFT real-input
+// ones at half the cost. Correlation runs through Matcher, which
+// precomputes a template's spectrum once and reuses it for every stream —
+// the receiver's dominant workload — and MatcherBank, which scans one
+// stream for several templates on one shared forward transform.
 package dsp
 
 import (
@@ -24,29 +23,6 @@ import (
 	"math/cmplx"
 	"sync"
 )
-
-// FFT computes the in-place decimation-in-time radix-4/2 FFT of x.
-// len(x) must be a power of two; it panics otherwise (programmer error,
-// callers that need arbitrary sizes use Plan or BluesteinFFT).
-func FFT(x []complex128) {
-	if !IsPow2(len(x)) {
-		panic(fmt.Sprintf("dsp: FFT length %d is not a power of two", len(x)))
-	}
-	fftPow2(x, false)
-}
-
-// IFFT computes the in-place inverse FFT of x, including the 1/N scale.
-// len(x) must be a power of two.
-func IFFT(x []complex128) {
-	if !IsPow2(len(x)) {
-		panic(fmt.Sprintf("dsp: IFFT length %d is not a power of two", len(x)))
-	}
-	fftPow2(x, true)
-	scale := complex(1/float64(len(x)), 0)
-	for i := range x {
-		x[i] *= scale
-	}
-}
 
 // IsPow2 reports whether n is a positive power of two.
 func IsPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
@@ -148,9 +124,6 @@ func NewPlan(n int) *Plan {
 	}
 	return p
 }
-
-// N returns the planned transform length.
-func (p *Plan) N() int { return p.n }
 
 // Forward computes the DFT of x in place. len(x) must equal the plan length.
 func (p *Plan) Forward(x []complex128) { p.transform(x, false) }

@@ -3,8 +3,8 @@ package dsp
 import "math/bits"
 
 // The split (structure-of-arrays) radix-4 FFT kernel. All hot transforms
-// in the package — the complex FFT/IFFT, RFFT/IRFFT and every correlation
-// path built on them — bottom out here.
+// in the package — Plan's power-of-two transforms, RFFT and every
+// correlation path built on them — bottom out here.
 //
 // Layout: the transform operates on two plain []float64 planes (re, im)
 // instead of []complex128, so every butterfly is a handful of independent

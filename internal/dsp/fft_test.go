@@ -55,7 +55,7 @@ func TestFFTMatchesNaiveDFT(t *testing.T) {
 		x := randComplex(r, n)
 		want := dftNaive(x, false)
 		got := append([]complex128(nil), x...)
-		FFT(got)
+		fftPow2(got, false)
 		if e := maxErrC(got, want); e > 1e-9*float64(n) {
 			t.Errorf("n=%d: FFT max error %g", n, e)
 		}
@@ -67,21 +67,12 @@ func TestIFFTInvertsFFT(t *testing.T) {
 	for _, n := range []int{2, 8, 32, 512} {
 		x := randComplex(r, n)
 		y := append([]complex128(nil), x...)
-		FFT(y)
-		IFFT(y)
+		fftPow2(y, false)
+		NewPlan(len(y)).Inverse(y)
 		if e := maxErrC(y, x); e > 1e-10*float64(n) {
 			t.Errorf("n=%d: roundtrip error %g", n, e)
 		}
 	}
-}
-
-func TestFFTPanicsOnNonPow2(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for non-power-of-two FFT")
-		}
-	}()
-	FFT(make([]complex128, 3))
 }
 
 func TestBluesteinMatchesNaive(t *testing.T) {
@@ -185,7 +176,7 @@ func TestNewPlanSharesBluesteinSetup(t *testing.T) {
 }
 
 func TestFFTLinearityProperty(t *testing.T) {
-	// Property: FFT(a*x + b*y) == a*FFT(x) + b*FFT(y).
+	// Property: fftPow2(a*x + b*y, false) == a*fftPow2(x, false) + b*fftPow2(y, false).
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 128
@@ -197,11 +188,11 @@ func TestFFTLinearityProperty(t *testing.T) {
 		for i := range mix {
 			mix[i] = a*x[i] + b*y[i]
 		}
-		FFT(mix)
+		fftPow2(mix, false)
 		fx := append([]complex128(nil), x...)
 		fy := append([]complex128(nil), y...)
-		FFT(fx)
-		FFT(fy)
+		fftPow2(fx, false)
+		fftPow2(fy, false)
 		for i := range mix {
 			if cmplx.Abs(mix[i]-(a*fx[i]+b*fy[i])) > 1e-8 {
 				return false
@@ -240,7 +231,7 @@ func TestParsevalProperty(t *testing.T) {
 func TestFFTImpulseIsFlat(t *testing.T) {
 	x := make([]complex128, 64)
 	x[0] = 1
-	FFT(x)
+	fftPow2(x, false)
 	for i, v := range x {
 		if cmplx.Abs(v-1) > 1e-12 {
 			t.Fatalf("impulse spectrum not flat at bin %d: %v", i, v)
@@ -259,9 +250,9 @@ func TestFFTShiftTheorem(t *testing.T) {
 		shifted[(i+shift)%n] = x[i]
 	}
 	fx := append([]complex128(nil), x...)
-	FFT(fx)
+	fftPow2(fx, false)
 	fs := append([]complex128(nil), shifted...)
-	FFT(fs)
+	fftPow2(fs, false)
 	for k := 0; k < n; k++ {
 		phase := cmplx.Rect(1, -2*math.Pi*float64(k*shift)/float64(n))
 		if cmplx.Abs(fs[k]-fx[k]*phase) > 1e-8 {
@@ -276,7 +267,7 @@ func BenchmarkFFT1024(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		copy(buf, x)
-		FFT(buf)
+		fftPow2(buf, false)
 	}
 }
 

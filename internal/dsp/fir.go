@@ -1,15 +1,7 @@
 package dsp
 
-// Filter applies FIR taps h to x (causal, zero initial state), returning a
-// slice of len(x). Group delay is (len(h)-1)/2 samples for symmetric h.
-func Filter(h, x []float64) []float64 {
-	out := make([]float64, len(x))
-	FilterFrom(out, h, x, 0)
-	return out
-}
-
-// FilterFrom is the causal direct-form FIR kernel behind Filter and the
-// streaming ingest prefilter. It writes the response of h over x, with zero
+// FilterFrom is the causal direct-form FIR kernel behind the streaming
+// ingest prefilter. It writes the response of h over x, with zero
 // state before x[0], at input indices from, from+1, … into dst:
 //
 //	dst[j] = Σ h[k]·x[from+j−k]   for k = 0 … min(len(h), from+j+1)−1
@@ -18,7 +10,7 @@ func Filter(h, x []float64) []float64 {
 // ascending to an accumulator that starts at +0, one rounded multiply and
 // one rounded add per term (no fused multiply-add, no reassociation). A
 // caller that carries history across buffers therefore gets the same bits
-// as a one-shot Filter over the whole stream. Eight outputs share each
+// as one FilterFrom call over the whole stream. Eight outputs share each
 // pass over h, in eight register accumulators, so one load of h[k] feeds
 // eight independent multiply-adds; the warm-up outputs whose window
 // reaches before x[0], and the remainder after the last full block, run

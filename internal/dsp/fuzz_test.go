@@ -34,8 +34,8 @@ func FuzzBankStreamChunking(f *testing.F) {
 		mt := NewMatcher(x[:hlen])
 		bank := NewMatcherBankLowLatency(mt)
 
-		wantRaw := mt.CrossCorrelate(x)
-		wantNorm := mt.NormalizedCrossCorrelate(x)
+		wantRaw := mt.correlate(x, false, false)
+		wantNorm := mt.correlate(x, true, false)
 		if hlen >= directCorrMin {
 			// The FFT kernel is in play: pin it to the O(n·h) sliding dot
 			// product so a kernel regression can't hide behind the

@@ -7,13 +7,11 @@ import (
 
 // Matcher is a precomputed matched filter for one correlation template.
 //
-// One-shot CrossCorrelate pays for a forward transform of the template on
-// every call even though the receiver correlates the same preamble
-// against every stream it ever sees. A Matcher transforms the template
-// once per padded FFT length, caches the conjugated spectrum, and folds
-// the template energy into the normalization, so each correlation costs
-// one forward RFFT of the stream, one fused multiply-retangle pass, and
-// one inverse — down from three transforms plus a template-energy pass.
+// The receiver correlates the same preamble against every stream it ever
+// sees, so a Matcher transforms the template once per padded FFT length,
+// caches the conjugated spectrum, and folds the template energy into the
+// normalization: each correlation costs one forward RFFT of the stream,
+// one fused multiply-retangle pass, and one inverse.
 //
 // Cached spectra live in fold order (see foldSpec): rearranged to line
 // up with the fold table's conjugate-pair walk, so the per-call
@@ -28,9 +26,8 @@ import (
 // streams the FFT runs overlap-save in fixed-size blocks, bounding
 // scratch at the block length instead of the padded stream length.
 //
-// Use a Matcher whenever the template outlives a single call (preamble
-// detection, calibration chirps, baseline templates); use the package
-// CrossCorrelate helpers for ad-hoc one-off pairs.
+// Use a Matcher for every template the receiver scans for (preamble
+// detection, calibration chirps, baseline templates).
 type Matcher struct {
 	h      []float64 // private copy of the template
 	energy float64   // Σ h² — pre-folded normalization energy
@@ -87,27 +84,15 @@ func (mt *Matcher) spectrum(m int) *foldSpec {
 	return s
 }
 
-// CrossCorrelate computes the valid-lag cross-correlation of the template
-// against x (see the package CrossCorrelate for the exact definition).
-func (mt *Matcher) CrossCorrelate(x []float64) []float64 {
-	return mt.correlate(x, false, false)
-}
-
-// CrossCorrelatePooled is CrossCorrelate with the result drawn from the
-// package scratch pool; release with PutF64.
-func (mt *Matcher) CrossCorrelatePooled(x []float64) []float64 {
-	return mt.correlate(x, false, true)
-}
-
-// NormalizedCrossCorrelate computes the cross-correlation normalized by
-// the (precomputed) template energy and the local window energy of x, so
-// the output lies in [-1, 1] regardless of signal scale.
-func (mt *Matcher) NormalizedCrossCorrelate(x []float64) []float64 {
-	return mt.correlate(x, true, false)
-}
-
-// NormalizedCrossCorrelatePooled is NormalizedCrossCorrelate with the
-// result drawn from the package scratch pool; release with PutF64.
+// NormalizedCrossCorrelatePooled computes the valid-lag cross-correlation
+//
+//	r[k] = Σ_n x[n+k]·h[n],   k in [0, len(x)-len(h)]
+//
+// normalized by the (precomputed) template energy and the local window
+// energy of x, so the output lies in [-1, 1] regardless of signal scale;
+// windows of (near-)zero energy yield 0. The result, len(x)-len(h)+1
+// lags or nil when x is shorter than the template, comes from the
+// package scratch pool; release it with PutF64.
 func (mt *Matcher) NormalizedCrossCorrelatePooled(x []float64) []float64 {
 	return mt.correlate(x, true, true)
 }
@@ -195,7 +180,6 @@ func (mt *Matcher) corrOverlapSave(x []float64, blockLen int, pooled bool) []flo
 // Neumaier-compensated running sums one window apart stand in for a
 // stored prefix array, so window energies stay accurate to rounding
 // however long the stream is. Windows of (near-)zero energy yield 0.
-// Shared by Matcher and the one-shot NormalizedCrossCorrelate.
 func normalizeByWindowEnergy(r, x []float64, hlen int, eh float64) {
 	if r == nil {
 		return

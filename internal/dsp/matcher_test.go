@@ -19,8 +19,8 @@ func TestMatcherMatchesOneShotCorrelation(t *testing.T) {
 		x := randReal(r, tc.nx)
 		h := randReal(r, tc.nh)
 		mt := NewMatcher(h)
-		plain := CrossCorrelate(x, h)
-		got := mt.CrossCorrelate(x)
+		plain := xcorrDirect(x, h, false)
+		got := mt.correlate(x, false, false)
 		if len(plain) != len(got) {
 			t.Fatalf("nx=%d nh=%d: length %d vs %d", tc.nx, tc.nh, len(got), len(plain))
 		}
@@ -29,8 +29,8 @@ func TestMatcherMatchesOneShotCorrelation(t *testing.T) {
 				t.Fatalf("nx=%d nh=%d: lag %d: %g vs %g", tc.nx, tc.nh, i, got[i], plain[i])
 			}
 		}
-		pn := NormalizedCrossCorrelate(x, h)
-		gn := mt.NormalizedCrossCorrelate(x)
+		pn := refNormalized(x, h)
+		gn := mt.correlate(x, true, false)
 		for i := range pn {
 			if math.Abs(pn[i]-gn[i]) > 1e-9 {
 				t.Fatalf("nx=%d nh=%d: normalized lag %d: %g vs %g", tc.nx, tc.nh, i, gn[i], pn[i])
@@ -41,16 +41,16 @@ func TestMatcherMatchesOneShotCorrelation(t *testing.T) {
 
 func TestMatcherEdgeCases(t *testing.T) {
 	mt := NewMatcher([]float64{1, 2, 3})
-	if mt.CrossCorrelate(nil) != nil {
+	if mt.correlate(nil, false, false) != nil {
 		t.Error("nil x should give nil")
 	}
-	if mt.CrossCorrelate([]float64{1, 2}) != nil {
+	if mt.correlate([]float64{1, 2}, false, false) != nil {
 		t.Error("x shorter than template should give nil")
 	}
-	if NewMatcher(nil).CrossCorrelate([]float64{1, 2}) != nil {
+	if NewMatcher(nil).correlate([]float64{1, 2}, false, false) != nil {
 		t.Error("empty template should give nil")
 	}
-	if got := mt.NormalizedCrossCorrelate(make([]float64, 8)); got == nil {
+	if got := mt.correlate(make([]float64, 8), true, false); got == nil {
 		t.Error("zero stream should normalize, not vanish")
 	} else {
 		for _, v := range got {
@@ -61,7 +61,7 @@ func TestMatcherEdgeCases(t *testing.T) {
 	}
 	// Zero-energy template: defined as all-zero output.
 	zt := NewMatcher(make([]float64, 4))
-	for _, v := range zt.NormalizedCrossCorrelate(randReal(rand.New(rand.NewSource(1)), 64)) {
+	for _, v := range zt.correlate(randReal(rand.New(rand.NewSource(1)), 64), true, false) {
 		if v != 0 {
 			t.Fatalf("zero template gave %g, want 0", v)
 		}
@@ -79,8 +79,8 @@ func TestMatcherTemplateIsACopy(t *testing.T) {
 
 func TestMatcherOverlapSaveMatchesOneShot(t *testing.T) {
 	// Force the blocked path with a stream long enough that the one-shot
-	// padded length exceeds two blocks, then compare against the one-shot
-	// result on identical input.
+	// padded length exceeds two blocks, then compare against the direct
+	// sliding dot product on identical input.
 	r := rand.New(rand.NewSource(31))
 	h := randReal(r, 256) // blockLen = NextPow2(8*256) = 2048
 	mt := NewMatcher(h)
@@ -92,7 +92,7 @@ func TestMatcherOverlapSaveMatchesOneShot(t *testing.T) {
 			if m <= 2*mt.blockLen() {
 				t.Fatalf("nx=%d does not exercise overlap-save (m=%d, block=%d)", nx, m, mt.blockLen())
 			}
-			copy(oneShot, CrossCorrelate(x, h))
+			copy(oneShot, xcorrDirect(x, h, false))
 		}
 		got := mt.corrOverlapSave(x, mt.blockLen(), false)
 		if len(got) != len(oneShot) {
@@ -100,14 +100,15 @@ func TestMatcherOverlapSaveMatchesOneShot(t *testing.T) {
 		}
 		for i := range got {
 			if math.Abs(got[i]-oneShot[i]) > 1e-9 {
-				t.Fatalf("nx=%d: lag %d: blocked %g vs one-shot %g", nx, i, got[i], oneShot[i])
+				t.Fatalf("nx=%d: lag %d: blocked %g vs direct %g", nx, i, got[i], oneShot[i])
 			}
 		}
-		// The public path must agree too (it picks overlap-save here).
-		pub := mt.CrossCorrelate(x)
+		// The matcher's own path choice must agree too (it picks
+		// overlap-save here).
+		pub := mt.correlate(x, false, false)
 		for i := range pub {
 			if math.Abs(pub[i]-oneShot[i]) > 1e-9 {
-				t.Fatalf("nx=%d: public path lag %d: %g vs %g", nx, i, pub[i], oneShot[i])
+				t.Fatalf("nx=%d: matcher path lag %d: %g vs %g", nx, i, pub[i], oneShot[i])
 			}
 		}
 	}
@@ -119,8 +120,8 @@ func TestMatcherPooledVariantsMatch(t *testing.T) {
 	h := randReal(r, 128)
 	mt := NewMatcher(h)
 	for name, pair := range map[string][2][]float64{
-		"cross":      {mt.CrossCorrelate(x), mt.CrossCorrelatePooled(x)},
-		"normalized": {mt.NormalizedCrossCorrelate(x), mt.NormalizedCrossCorrelatePooled(x)},
+		"cross":      {mt.correlate(x, false, false), mt.correlate(x, false, true)},
+		"normalized": {mt.correlate(x, true, false), mt.NormalizedCrossCorrelatePooled(x)},
 	} {
 		plain, pooled := pair[0], pair[1]
 		if len(plain) != len(pooled) {
@@ -147,7 +148,7 @@ func TestMatcherConcurrentUse(t *testing.T) {
 	for _, nx := range []int{500, 1000, 2000, 4000} {
 		x := randReal(r, nx)
 		streams[nx] = x
-		want[nx] = NormalizedCrossCorrelate(x, h)
+		want[nx] = refNormalized(x, h)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -155,7 +156,7 @@ func TestMatcherConcurrentUse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for nx, x := range streams {
-				got := mt.NormalizedCrossCorrelate(x)
+				got := mt.correlate(x, true, false)
 				for i := range got {
 					if math.Abs(got[i]-want[nx][i]) > 1e-9 {
 						t.Errorf("nx=%d: concurrent result diverged at lag %d", nx, i)
@@ -174,8 +175,8 @@ func TestMatcherDeterministicAcrossCalls(t *testing.T) {
 	r := rand.New(rand.NewSource(34))
 	x := randReal(r, 5000)
 	mt := NewMatcher(randReal(r, 300))
-	a := mt.NormalizedCrossCorrelate(x)
-	b := mt.NormalizedCrossCorrelate(x)
+	a := mt.correlate(x, true, false)
+	b := mt.correlate(x, true, false)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("lag %d: %v vs %v", i, a[i], b[i])
@@ -183,17 +184,17 @@ func TestMatcherDeterministicAcrossCalls(t *testing.T) {
 	}
 }
 
-// BenchmarkMatcher mirrors BenchmarkCrossCorrelatePreambleLen (2 s stream
-// vs preamble-length template) with the template spectrum precomputed.
+// BenchmarkMatcher correlates a 2 s stream against a preamble-length
+// template with the template spectrum precomputed.
 func BenchmarkMatcher(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	x := randReal(r, 88200)
 	mt := NewMatcher(randReal(r, 9840))
-	mt.CrossCorrelatePooled(x) // warm the spectrum cache
+	mt.correlate(x, false, true) // warm the spectrum cache
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		PutF64(mt.CrossCorrelatePooled(x))
+		PutF64(mt.correlate(x, false, true))
 	}
 }
 
@@ -201,7 +202,7 @@ func BenchmarkMatcherNormalized(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	x := randReal(r, 88200)
 	mt := NewMatcher(randReal(r, 9840))
-	mt.CrossCorrelatePooled(x)
+	mt.correlate(x, false, true)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -123,15 +123,6 @@ func Normalize(x []float64) []float64 {
 	return x
 }
 
-// Abs returns |x| element-wise in a new slice.
-func Abs(x []float64) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = math.Abs(v)
-	}
-	return out
-}
-
 // AbsComplex returns the magnitudes of a complex vector.
 func AbsComplex(x []complex128) []float64 {
 	out := make([]float64, len(x))
@@ -166,9 +157,6 @@ func DB(ratio float64) float64 {
 	}
 	return 10 * math.Log10(ratio)
 }
-
-// FromDB converts decibels to a linear power ratio.
-func FromDB(db float64) float64 { return math.Pow(10, db/10) }
 
 // WindowPowerDB returns the power of x[start:start+width] in dB relative to
 // the power of x[prevStart:prevStart+width]; used by the TH_SD window-based

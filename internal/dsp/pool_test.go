@@ -79,7 +79,8 @@ func TestCorrelateUsesPoolConsistently(t *testing.T) {
 	for i := range h {
 		h[i] = float64(i%7) - 3
 	}
-	got := xcorrFFT(x, h, false)
+	got := NewMatcher(h).correlate(x, false, true)
+	defer PutF64(got)
 	want := xcorrDirect(x, h, false)
 	for i := range want {
 		if d := got[i] - want[i]; d > 1e-6 || d < -1e-6 {

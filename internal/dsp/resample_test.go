@@ -115,7 +115,7 @@ func TestFractionalDelayTaps(t *testing.T) {
 	frac := 0.37
 	taps := make([]float64, 33)
 	FractionalDelayTaps(taps, frac)
-	y := Filter(taps, x)
+	y := filter(taps, x)
 	delay := float64(len(taps)-1)/2 + frac
 	for i := 100; i < n-100; i++ {
 		want := math.Sin(2 * math.Pi * f * (float64(i) - delay) / n)

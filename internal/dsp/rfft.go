@@ -8,19 +8,19 @@ import (
 // signal packs into an n/2-point complex transform (adjacent sample pairs
 // as re/im) and one untangle pass recovers the true spectrum, so a real
 // transform costs roughly half its complex counterpart — the reason
-// CrossCorrelate, Convolve, Matcher and MatcherBank all run on this path.
+// Matcher and MatcherBank run on this path.
 //
 // Three spectrum representations exist:
 //
-//   - The public RFFT/IRFFT speak []complex128 (bins 0..n/2), the
-//     package's stable API.
+//   - The public RFFT speaks []complex128 (bins 0..n/2), the package's
+//     stable API.
 //   - The internal rfftInto speaks natural-order split re/im planes —
 //     used where actual bin values matter (template spectrum
 //     construction).
 //   - The correlation hot paths never leave the kernel's digit-reversed
 //     packed order at all: rfftPacked (DIF forward, natural input →
-//     permuted packed spectrum), the fused folds foldSpecMulTo/foldTwo
-//     (untangle ⊙ multiply ⊙ retangle in the permuted domain, in place),
+//     permuted packed spectrum), the fused fold foldSpecMulTo (untangle ⊙
+//     multiply ⊙ retangle in the permuted domain, in place),
 //     and the DIT inverse (permuted input → natural output). Every memory
 //     stream in that pipeline is sequential except the fold table's
 //     partner-position lookup; see foldTable in tables.go.
@@ -101,52 +101,6 @@ func rfftInto(dre, dim []float64, x []float64) {
 		ti := ht.re[k]*oi + ht.im[k]*or
 		dre[k], dim[k] = er+tr, ei+ti
 		dre[h-k], dim[h-k] = er-tr, ti-ei
-	}
-	PutF64(zim)
-	PutF64(zre)
-}
-
-// IRFFT inverts an RFFT spectrum (bins 0..n/2, len(spec) = n/2+1) back
-// into the length-n real signal, n = len(dst) a power of two. Only the
-// real parts of spec[0] and spec[n/2] participate, matching the conjugate
-// symmetry of a real signal's spectrum. spec is left unmodified. The
-// result includes the full 1/n inverse scaling.
-func IRFFT(dst []float64, spec []complex128) {
-	n := len(dst)
-	if !IsPow2(n) {
-		panic(fmt.Sprintf("dsp: IRFFT length %d is not a power of two", n))
-	}
-	if len(spec) != n/2+1 {
-		panic(fmt.Sprintf("dsp: IRFFT needs %d input bins, got %d", n/2+1, len(spec)))
-	}
-	if n == 1 {
-		dst[0] = real(spec[0])
-		return
-	}
-	h := n / 2
-	zre := GetF64(h)
-	zim := GetF64(h)
-	// Retangle: E[k] = (X[k]+conj(X[h-k]))/2 and w^k·O[k] =
-	// (X[k]-conj(X[h-k]))/2, then rebuild the packed half-length spectrum
-	// z[k] = E[k] + i·O[k] and its mirror from conjugate symmetry,
-	// scattering straight into the inverse kernel's digit-reversed order.
-	ip := ipermFor(h)
-	zre[ip[0]], zim[ip[0]] = (real(spec[0])+real(spec[h]))*0.5, (real(spec[0])-real(spec[h]))*0.5
-	ht := halfTwiddlesFor(n)
-	for k := 1; 2*k <= h; k++ {
-		xkr, xki := real(spec[k]), imag(spec[k])
-		xcr, xci := real(spec[h-k]), -imag(spec[h-k])
-		er, ei := (xkr+xcr)*0.5, (xki+xci)*0.5
-		sr, si := (xkr-xcr)*0.5, (xki-xci)*0.5
-		or, oi := sr*ht.re[k]+si*ht.im[k], si*ht.re[k]-sr*ht.im[k] // s · conj(w^k)
-		zre[ip[k]], zim[ip[k]] = er-oi, ei+or                      // e + i·o
-		zre[ip[h-k]], zim[ip[h-k]] = er+oi, or-ei                  // conj(e) + i·conj(o)
-	}
-	fftSoA(zre, zim, true)
-	s := 1 / float64(h)
-	for j := 0; j < h; j++ {
-		dst[2*j] = zre[j] * s
-		dst[2*j+1] = zim[j] * s
 	}
 	PutF64(zim)
 	PutF64(zre)
@@ -238,7 +192,7 @@ func newFoldSpec(sre, sim []float64, n int) *foldSpec {
 // One pass, entirely in the permuted domain: untangle, multiply and
 // retangle share the pair's twiddle, the template and twiddles stream
 // sequentially, and only the fold table's ib side jumps around. dst may
-// alias src (the one-shot paths fold in place); every position is
+// alias src (the correlation paths fold in place); every position is
 // written exactly once, so a distinct dst needs no pre-clearing.
 func foldSpecMulTo(dzre, dzim, zre, zim []float64, fs *foldSpec, n int) {
 	ft := foldTableFor(n)
@@ -280,66 +234,5 @@ func foldSpecMulTo(dzre, dzim, zre, zim []float64, fs *foldSpec, n int) {
 		or, oi = sr*wre[p]+si*wim[p], si*wre[p]-sr*wim[p] // s · conj(w^k)
 		dzre[i], dzim[i] = er-oi, ei+or
 		dzre[j], dzim[j] = er+oi, or-ei
-	}
-}
-
-// foldTwo is foldSpecMulTo's two-input sibling for the one-shot paths
-// (CrossCorrelate, Convolve): both operands arrive as packed
-// digit-reversed spectra, the filter side is untangled on the fly with
-// the pair's shared twiddle — conjugated when conj is set, the
-// correlation case — and the product is retangled into zre/zim in place.
-// Natural-order spectrum arrays never exist at all.
-func foldTwo(zre, zim, hre, him []float64, n int, conj bool) {
-	if n == 1 {
-		zre[0] *= hre[0]
-		return
-	}
-	ft := foldTableFor(n)
-	z0r, z0i := zre[0], zim[0]
-	h0r, h0i := hre[0], him[0]
-	y0 := (z0r + z0i) * (h0r + h0i) // DC and Nyquist bins are real:
-	yh := (z0r - z0i) * (h0r - h0i) // conjugation is a no-op there
-	zre[0], zim[0] = (y0+yh)*0.5, (y0-yh)*0.5
-	if m := ft.mid; m >= 0 {
-		xr, xi := zre[m], -zim[m]
-		sr, si := hre[m], -him[m]
-		if conj {
-			si = -si
-		}
-		yr, yi := xr*sr-xi*si, xr*si+xi*sr
-		zre[m], zim[m] = yr, -yi
-	}
-	ia := ft.ia
-	ib := ft.ib[:len(ia)]
-	wre := ft.wre[:len(ia)]
-	wim := ft.wim[:len(ia)]
-	for p, i := range ia {
-		j := ib[p]
-		zar, zai := zre[i], zim[i]
-		zbr, zbi := zre[j], zim[j]
-		er, ei := (zar+zbr)*0.5, (zai-zbi)*0.5
-		or, oi := (zai+zbi)*0.5, (zbr-zar)*0.5
-		tr := wre[p]*or - wim[p]*oi
-		ti := wre[p]*oi + wim[p]*or
-		xar, xai := er+tr, ei+ti
-		xbr, xbi := er-tr, ti-ei
-		har, hai := hre[i], him[i]
-		hbr, hbi := hre[j], him[j]
-		er2, ei2 := (har+hbr)*0.5, (hai-hbi)*0.5
-		or2, oi2 := (hai+hbi)*0.5, (hbr-har)*0.5
-		tr2 := wre[p]*or2 - wim[p]*oi2
-		ti2 := wre[p]*oi2 + wim[p]*or2
-		sar, sai := er2+tr2, ei2+ti2
-		sbr, sbi := er2-tr2, ti2-ei2
-		if conj {
-			sai, sbi = -sai, -sbi
-		}
-		yar, yai := xar*sar-xai*sai, xar*sai+xai*sar
-		ybr, ybi := xbr*sbr-xbi*sbi, xbr*sbi+xbi*sbr
-		er, ei = (yar+ybr)*0.5, (yai-ybi)*0.5
-		sr2, si2 := (yar-ybr)*0.5, (yai+ybi)*0.5
-		or, oi = sr2*wre[p]+si2*wim[p], si2*wre[p]-sr2*wim[p]
-		zre[i], zim[i] = er-oi, ei+or
-		zre[j], zim[j] = er+oi, or-ei
 	}
 }

@@ -9,16 +9,14 @@ import (
 
 // Precomputed constants for the power-of-two SoA FFT kernel, cached per
 // size class and shared by every goroutine (engine workers hammer the
-// same sizes concurrently). Four independent table families exist so a
-// size class only ever builds what its callers actually touch:
+// same sizes concurrently). Independent table families exist so a size
+// class only ever builds what its callers actually touch:
 //
 //   - permFor(n): the mixed-radix digit-reversal gather permutation the
 //     radix-4/2 DIT kernel consumes. It is applied while deinterleaving
 //     input into the kernel's split re/im scratch (one fused gather pass),
 //     never as a standalone swap pass — the mixed [2,4,4,…] digit order is
 //     not an involution, so in-place pair swapping would mis-permute.
-//   - ipermFor(n): the inverse permutation, used as scatter targets by the
-//     spectrum retangling passes that feed the inverse transform.
 //   - stageTwiddlesFor(m): per-butterfly-stage twiddles for the stage that
 //     merges four blocks of length m/4, laid out structure-of-arrays as six
 //     separate float64 slices (w^k, w^2k, w^3k × re/im) indexed stride-1 by
@@ -27,7 +25,7 @@ import (
 //     table per stage class and the inner loops read all six arrays
 //     sequentially — the layout the tentpole flat kernels are built around.
 //   - halfTwiddlesFor(n): e^{-2πik/n} for k ≤ n/4 as split re/im arrays,
-//     consumed by the RFFT/IRFFT untangle/retangle passes.
+//     consumed by the RFFT untangle and fold passes.
 //
 // Every entry is computed independently from its exact angle (accurate to
 // 1 ulp); inverse transforms conjugate in the butterfly body instead of
@@ -36,7 +34,6 @@ import (
 // table is computed exactly once.
 var (
 	permCache  [bits.UintSize]atomic.Pointer[[]int32]
-	ipermCache [bits.UintSize]atomic.Pointer[[]int32]
 	stageCache [bits.UintSize]atomic.Pointer[stageTwiddles]
 	halfCache  [bits.UintSize]atomic.Pointer[halfTwiddles]
 	foldCache  [bits.UintSize]atomic.Pointer[foldTable]
@@ -100,28 +97,6 @@ func buildPerm(n int) []int32 {
 	return perm
 }
 
-// ipermFor returns the inverse of permFor(n): input element k belongs at
-// working position iperm[k]. Retangling passes use it to scatter spectrum
-// bins straight into the inverse kernel's expected order.
-func ipermFor(n int) []int32 {
-	class := bits.TrailingZeros(uint(n))
-	if p := ipermCache[class].Load(); p != nil {
-		return *p
-	}
-	fftTableMu.Lock()
-	defer fftTableMu.Unlock()
-	if p := ipermCache[class].Load(); p != nil {
-		return *p
-	}
-	perm := buildPerm(n)
-	iperm := make([]int32, n)
-	for i, p := range perm {
-		iperm[p] = int32(i)
-	}
-	ipermCache[class].Store(&iperm)
-	return iperm
-}
-
 // stageTwiddlesFor returns the shared twiddle planes for the radix-4 stage
 // of total length m (merging four blocks of m/4); each plane has m/4
 // entries. m must be a power of two >= 4.
@@ -152,7 +127,7 @@ func stageTwiddlesFor(m int) *stageTwiddles {
 }
 
 // foldTable drives the fused permuted-domain spectrum folds (see
-// foldSpecMulTo/foldTwo in rfft.go): the correlation hot path keeps the
+// foldSpecMulTo in rfft.go): the correlation hot path keeps the
 // half-length packed spectrum in the kernel's digit-reversed order the
 // whole way through — forward DIF writes it, the fold rewrites it in
 // place, inverse DIT consumes it — so the only non-sequential memory

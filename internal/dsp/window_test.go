@@ -129,7 +129,7 @@ func TestFilterImpulseGivesTaps(t *testing.T) {
 	h := []float64{0.25, 0.5, 0.25}
 	x := make([]float64, 8)
 	x[0] = 1
-	y := Filter(h, x)
+	y := filter(h, x)
 	for i := range h {
 		if math.Abs(y[i]-h[i]) > 1e-12 {
 			t.Fatalf("impulse response mismatch at %d", i)

@@ -61,7 +61,7 @@ func TestStreamOrderedRangeMatchesFullRun(t *testing.T) {
 		return float64(trial)*1e6 + rng.NormFloat64()
 	}
 	var full []float64
-	Each(Config{Seed: 11, Workers: 1}, n, fn, func(t int, v float64) {
+	EachRange(Config{Seed: 11, Workers: 1}, 0, n, fn, func(t int, v float64) {
 		full = append(full, v)
 	})
 
@@ -98,7 +98,7 @@ func TestStreamOrderedRangeCoversWithoutOverlap(t *testing.T) {
 	fn := func(trial int, rng *rand.Rand) int64 { return rng.Int63() }
 
 	var full []int64
-	Each(Config{Seed: 5, Workers: 1}, n, fn, func(t int, v int64) { full = append(full, v) })
+	EachRange(Config{Seed: 5, Workers: 1}, 0, n, fn, func(t int, v int64) { full = append(full, v) })
 
 	var stitched []int64
 	for i := 0; i < shards; i++ {

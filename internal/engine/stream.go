@@ -11,7 +11,7 @@ import (
 // Streaming result delivery. Run collects all n results before the caller
 // sees any of them — fine for small sweeps, but it pins O(n) result memory
 // and delays aggregation until the slowest trial lands. Stream and
-// StreamOrdered instead hand each result to a sink as soon as it is
+// StreamOrderedRange instead hand each result to a sink as soon as it is
 // available, which is what lets online aggregators (stats.Welford,
 // stats.Sketch) scale trial counts past memory.
 //
@@ -22,7 +22,7 @@ import (
 //   - Stream delivers in completion order — arbitrary under parallelism.
 //     Use it when the sink is order-independent (counters, sums over
 //     commutative domains, per-trial side effects keyed by trial index).
-//   - StreamOrdered delivers in trial order via a bounded reorder window,
+//   - StreamOrderedRange delivers in trial order via a bounded reorder window,
 //     so a sink observes exactly the sequence a serial loop would have
 //     produced — order-sensitive aggregation (floating-point sums,
 //     reservoir sampling) stays bit-identical at any worker count.
@@ -54,7 +54,7 @@ func Stream[T any](ctx context.Context, cfg Config, n int, fn func(trial int, rn
 	workers := workerCount(cfg, n)
 	if workers == 1 {
 		// Serial fast path: trial order, no goroutines — the reference
-		// sequence StreamOrdered must be indistinguishable from.
+		// sequence StreamOrderedRange must be indistinguishable from.
 		for t := 0; t < n; t++ {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -93,24 +93,20 @@ func Stream[T any](ctx context.Context, cfg Config, n int, fn func(trial int, rn
 	return ctx.Err()
 }
 
-// StreamOrdered is Stream with in-order delivery: sink(t, v) calls arrive
-// strictly in trial order 0, 1, 2, …. A reorder window of a few times the
-// worker count buffers results that complete ahead of a slower earlier
-// trial; workers stall rather than run unboundedly ahead, so buffered
-// results never exceed the window regardless of per-trial cost variance.
-// On cancellation the sink has received a (possibly empty) prefix of the
-// trial sequence and StreamOrdered returns ctx.Err().
-func StreamOrdered[T any](ctx context.Context, cfg Config, n int, fn func(trial int, rng *rand.Rand) T, sink func(trial int, v T)) error {
-	return StreamOrderedRange(ctx, cfg, 0, n, fn, sink)
-}
-
-// StreamOrderedRange is StreamOrdered over the half-open trial span
-// [lo, hi). Trial indices are global: trial t still computes with
-// Rand(cfg.Seed, t), so a span's results are bit-identical to the same
-// trials of a full run — the primitive behind shard fan-out (each shard
-// runs its contiguous span of the global trial sequence) and
-// checkpoint/resume (restart from the first undelivered trial). Delivery
-// is in trial order lo, lo+1, …, hi-1.
+// StreamOrderedRange is Stream with in-order delivery over the half-open
+// trial span [lo, hi): sink(t, v) calls arrive strictly in trial order
+// lo, lo+1, …, hi-1. A reorder window of a few times the worker count
+// buffers results that complete ahead of a slower earlier trial; workers
+// stall rather than run unboundedly ahead, so buffered results never
+// exceed the window regardless of per-trial cost variance. On
+// cancellation the sink has received a (possibly empty) prefix of the
+// span and StreamOrderedRange returns ctx.Err().
+//
+// Trial indices are global: trial t still computes with Rand(cfg.Seed, t),
+// so a span's results are bit-identical to the same trials of a full run
+// — the primitive behind shard fan-out (each shard runs its contiguous
+// span of the global trial sequence) and checkpoint/resume (restart from
+// the first undelivered trial).
 func StreamOrderedRange[T any](ctx context.Context, cfg Config, lo, hi int, fn func(trial int, rng *rand.Rand) T, sink func(trial int, v T)) error {
 	n := hi - lo
 	if n <= 0 {
@@ -185,13 +181,6 @@ func StreamOrderedRange[T any](ctx context.Context, cfg Config, lo, hi int, fn f
 		}
 	}
 	return ctx.Err()
-}
-
-// Each is StreamOrdered minus the error plumbing for callers with no
-// cancellation story: n trials on a background context, results delivered
-// to sink in trial order.
-func Each[T any](cfg Config, n int, fn func(trial int, rng *rand.Rand) T, sink func(trial int, v T)) {
-	_ = StreamOrdered(context.Background(), cfg, n, fn, sink)
 }
 
 // EachRange is StreamOrderedRange minus the error plumbing: trials

@@ -89,7 +89,7 @@ func TestStreamOrderedMatchesSerial(t *testing.T) {
 	want, _ := Run(context.Background(), Config{Seed: 11, Workers: 1}, n, heavyTrial)
 	for _, workers := range []int{2, 3, 8, 32} {
 		nextTrial := 0
-		err := StreamOrdered(context.Background(), Config{Seed: 11, Workers: workers}, n, heavyTrial,
+		err := StreamOrderedRange(context.Background(), Config{Seed: 11, Workers: workers}, 0, n, heavyTrial,
 			func(trial int, v float64) {
 				if trial != nextTrial {
 					t.Fatalf("workers=%d: delivered trial %d, want %d", workers, trial, nextTrial)
@@ -118,7 +118,7 @@ func TestStreamOrderedSlowHead(t *testing.T) {
 	var once sync.Once
 	release := make(chan struct{})
 	nextTrial := 0
-	err := StreamOrdered(context.Background(), Config{Seed: 2, Workers: 4}, n,
+	err := StreamOrderedRange(context.Background(), Config{Seed: 2, Workers: 4}, 0, n,
 		func(trial int, _ *rand.Rand) int {
 			if trial == 0 {
 				<-release // stall the head until later trials have piled up
@@ -171,7 +171,7 @@ func TestStreamOrderedCancelDeliversPrefix(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int64
 	nextTrial := 0
-	err := StreamOrdered(ctx, Config{Seed: 1, Workers: 4}, 100000,
+	err := StreamOrderedRange(ctx, Config{Seed: 1, Workers: 4}, 0, 100000,
 		func(trial int, _ *rand.Rand) int {
 			if ran.Add(1) == 50 {
 				cancel()
@@ -198,7 +198,7 @@ func TestStreamZeroTrials(t *testing.T) {
 		func(int, float64) { called = true }); err != nil || called {
 		t.Fatalf("err=%v called=%v", err, called)
 	}
-	if err := StreamOrdered(context.Background(), Config{Seed: 1}, 0, heavyTrial,
+	if err := StreamOrderedRange(context.Background(), Config{Seed: 1}, 0, 0, heavyTrial,
 		func(int, float64) { called = true }); err != nil || called {
 		t.Fatalf("ordered: err=%v called=%v", err, called)
 	}
@@ -207,7 +207,7 @@ func TestStreamZeroTrials(t *testing.T) {
 func TestEachMatchesRun(t *testing.T) {
 	want, _ := Run(context.Background(), Config{Seed: 6, Workers: 1}, 64, heavyTrial)
 	i := 0
-	Each(Config{Seed: 6, Workers: 4}, 64, heavyTrial, func(trial int, v float64) {
+	EachRange(Config{Seed: 6, Workers: 4}, 0, 64, heavyTrial, func(trial int, v float64) {
 		if trial != i || v != want[i] {
 			t.Fatalf("trial %d value %v, want trial %d value %v", trial, v, i, want[i])
 		}

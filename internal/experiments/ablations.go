@@ -15,8 +15,8 @@ import (
 	"uwpos/internal/stats"
 )
 
-// The ablations quantify the design choices DESIGN.md calls out. They are
-// not paper figures; they justify implementation decisions with data.
+// The ablations quantify the system's design choices. They are not paper
+// figures; they justify implementation decisions with data.
 
 func accAblationBandWindow(opt Options, p *Partial, pre string) {
 	trials := opt.samples(40)

@@ -1,10 +1,15 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (§2.1.5 and §3). Each function returns both the raw series
-// (for tests and benches) and a printable stats.Table (for cmd/uwbench).
+// evaluation (§2.1.5 and §3). One ordered registry (Experiments) lists
+// every experiment with its accumulate half, which runs trials into a
+// mergeable Partial, and its render half, which turns a Partial into a
+// printable stats.Table; cmd/uwbench runs every id through Accumulate
+// then RenderPartial. The exported FigXX functions run the same two
+// halves and also return the raw series, for tests and benches.
 //
 // Absolute values depend on our simulated water bodies rather than Lake
-// Union; EXPERIMENTS.md records paper-vs-measured side by side. What must
-// reproduce is the *shape*: orderings, trends, crossovers and factors.
+// Union; each table's paper line states the paper's figure beside it.
+// What must reproduce is the *shape*: orderings, trends, crossovers and
+// factors.
 package experiments
 
 import (

@@ -117,8 +117,8 @@ func Fig16(opt Options) (float64, *stats.Table) {
 }
 
 // Battery reproduces the §3.1 power study. It is pure arithmetic over the
-// power profiles — no trials, no randomness — so the shard registry runs
-// it as render-only.
+// power profiles — no trials, no randomness — so the registry runs it as
+// render-only.
 func Battery(_ Options) *stats.Table {
 	table := &stats.Table{
 		ID:     "battery",

@@ -28,7 +28,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strconv"
 
 	"uwpos/internal/engine"
@@ -60,8 +59,6 @@ func (s ShardSpec) Validate() error {
 	}
 	return nil
 }
-
-func (s ShardSpec) active() bool { return s.Count > 1 }
 
 // span returns this shard's half-open range of a stage with n trials.
 // Spans partition [0, n) across shards with sizes differing by at most
@@ -200,6 +197,11 @@ func (p *Partial) UnmarshalBinary(data []byte) error {
 		if err := sk.UnmarshalBinary(blob); err != nil {
 			return fmt.Errorf("experiments: partial sketch %q: %w", key, err)
 		}
+		// Merge folds only equal-capacity sketches, and every Partial
+		// sketch comes from NewSketch.
+		if sk.Cap() != stats.DefaultSketchSize {
+			return fmt.Errorf("experiments: partial sketch %q has capacity %d, want %d", key, sk.Cap(), stats.DefaultSketchSize)
+		}
 		if _, dup := out.sketches[key]; dup {
 			return fmt.Errorf("experiments: duplicate sketch key %q in partial blob", key)
 		}
@@ -287,104 +289,116 @@ func serialStage(opt Options, p *Partial, key string, fn func()) {
 	opt.tick()
 }
 
-// shardable binds an experiment id to its accumulate and render halves.
-// pre namespaces Partial keys so composite experiments (headline) can
-// embed other experiments' stages without collision.
-type shardable struct {
+// Experiment is one registry entry: an id bound to its accumulate and
+// render halves. pre namespaces Partial keys so composite experiments
+// (headline) can embed other experiments' stages without collision.
+type Experiment struct {
+	ID string
+	// Live marks an experiment that measures a running pipeline (latency,
+	// deadline misses): its results are not a fold over independent
+	// trials, so it never shards. It accumulates nothing, and its render
+	// half runs the whole experiment.
+	Live bool
+	// OptIn keeps an experiment out of uwbench's "all": it runs only when
+	// named.
+	OptIn  bool
 	acc    func(opt Options, p *Partial, pre string)
 	render func(opt Options, p *Partial, pre string) *stats.Table
 }
 
-// shardRegistry lists every experiment that runs through the
-// accumulate/render split. The streaming/ingest/service experiments stay
-// out: they measure live pipelines (latency, deadline misses) whose
-// results are not a fold over independent trials.
-var shardRegistry = map[string]shardable{
-	"fig06a": {accFig06a, func(o Options, p *Partial, pre string) *stats.Table { _, t := renderFig06a(o, p, pre); return t }},
-	"fig06b": {accFig06b, func(o Options, p *Partial, pre string) *stats.Table { _, t := renderFig06b(o, p, pre); return t }},
-	"fig06c": {accFig06c, func(o Options, p *Partial, pre string) *stats.Table { _, t := renderFig06c(o, p, pre); return t }},
-	"fig06d": {accFig06d, func(o Options, p *Partial, pre string) *stats.Table { _, t := renderFig06d(o, p, pre); return t }},
-	"fig11a": {accFig11a, func(o Options, p *Partial, pre string) *stats.Table { _, t := renderFig11a(o, p, pre); return t }},
-	"fig11b": {accFig11b, func(o Options, p *Partial, pre string) *stats.Table { _, t := renderFig11b(o, p, pre); return t }},
-	"fig12a": {accFig12a, func(o Options, p *Partial, pre string) *stats.Table { _, _, t := renderFig12a(o, p, pre); return t }},
-	"fig12b": {accFig12b, func(o Options, p *Partial, pre string) *stats.Table { _, t := renderFig12b(o, p, pre); return t }},
-	"fig13a": {accFig13a, func(o Options, p *Partial, pre string) *stats.Table { _, t := renderFig13a(o, p, pre); return t }},
-	"fig13b": {accFig13b, func(o Options, p *Partial, pre string) *stats.Table { _, t := renderFig13b(o, p, pre); return t }},
-	"fig14a": {accFig14a, func(o Options, p *Partial, pre string) *stats.Table { _, t := renderFig14a(o, p, pre); return t }},
-	"fig14b": {accFig14b, func(o Options, p *Partial, pre string) *stats.Table { _, t := renderFig14b(o, p, pre); return t }},
-	"fig15":  {accFig15, func(o Options, p *Partial, pre string) *stats.Table { _, t := renderFig15(o, p, pre); return t }},
-	"fig16":  {accFig16, func(o Options, p *Partial, pre string) *stats.Table { _, t := renderFig16(o, p, pre); return t }},
-	"fig18":  {accFig18, func(o Options, p *Partial, pre string) *stats.Table { _, t := renderFig18(o, p, pre); return t }},
-	"fig19a": {accFig19a, func(o Options, p *Partial, pre string) *stats.Table { _, t := renderFig19a(o, p, pre); return t }},
-	"fig19b": {accFig19b, func(o Options, p *Partial, pre string) *stats.Table { _, t := renderFig19b(o, p, pre); return t }},
-	"fig19b-4dev": {accFourDevices, func(o Options, p *Partial, pre string) *stats.Table {
-		_, t := renderFourDevices(o, p, pre)
-		return t
-	}},
-	"fig20": {accFig20, func(o Options, p *Partial, pre string) *stats.Table { _, t := renderFig20(o, p, pre); return t }},
-	"fig22": {accFig22, func(o Options, p *Partial, pre string) *stats.Table { _, t := renderFig22(o, p, pre); return t }},
-	"rtt":   {accRTT, func(o Options, p *Partial, pre string) *stats.Table { _, t := renderRTT(o, p, pre); return t }},
-	"flipping": {accFlipping, func(o Options, p *Partial, pre string) *stats.Table {
-		_, _, t := renderFlipping(o, p, pre)
-		return t
-	}},
-	"battery":  {func(Options, *Partial, string) {}, func(o Options, _ *Partial, _ string) *stats.Table { return Battery(o) }},
-	"headline": {accHeadline, renderHeadline},
-	"ablation-bandwindow": {accAblationBandWindow, func(o Options, p *Partial, pre string) *stats.Table {
-		_, t := renderAblationBandWindow(o, p, pre)
-		return t
-	}},
-	"ablation-prefilter": {accAblationPrefilter, func(o Options, p *Partial, pre string) *stats.Table {
-		_, t := renderAblationPrefilter(o, p, pre)
-		return t
-	}},
-	"ablation-restarts": {accAblationRestarts, func(o Options, p *Partial, pre string) *stats.Table {
-		_, t := renderAblationRestarts(o, p, pre)
-		return t
-	}},
-	"ablation-reportback": {accAblationReportBack, func(o Options, p *Partial, pre string) *stats.Table {
-		_, t := renderAblationReportBack(o, p, pre)
-		return t
-	}},
+// tableOf adapts a render half that also returns raw series to the
+// registry's table-only render.
+func tableOf[R any](render func(Options, *Partial, string) (R, *stats.Table)) func(Options, *Partial, string) *stats.Table {
+	return func(o Options, p *Partial, pre string) *stats.Table { _, t := render(o, p, pre); return t }
 }
 
-// ShardableIDs returns the ids that support shard/merge runs, sorted.
-func ShardableIDs() []string {
-	ids := make([]string, 0, len(shardRegistry))
-	for id := range shardRegistry {
-		ids = append(ids, id)
+// noAcc is the accumulate half of an experiment with no mergeable state.
+func noAcc(Options, *Partial, string) {}
+
+// whole adapts an experiment that runs end to end into a render half.
+func whole(run func(Options) *stats.Table) func(Options, *Partial, string) *stats.Table {
+	return func(o Options, _ *Partial, _ string) *stats.Table { return run(o) }
+}
+
+// registry lists every experiment in the paper's order, the order "all"
+// runs them in.
+var registry = []Experiment{
+	{ID: "fig06a", acc: accFig06a, render: tableOf(renderFig06a)},
+	{ID: "fig06b", acc: accFig06b, render: tableOf(renderFig06b)},
+	{ID: "fig06c", acc: accFig06c, render: tableOf(renderFig06c)},
+	{ID: "fig06d", acc: accFig06d, render: tableOf(renderFig06d)},
+	{ID: "fig11a", acc: accFig11a, render: tableOf(renderFig11a)},
+	{ID: "fig11b", acc: accFig11b, render: tableOf(renderFig11b)},
+	{ID: "fig12a", acc: accFig12a, render: func(o Options, p *Partial, pre string) *stats.Table { _, _, t := renderFig12a(o, p, pre); return t }},
+	{ID: "fig12b", acc: accFig12b, render: tableOf(renderFig12b)},
+	{ID: "fig13a", acc: accFig13a, render: tableOf(renderFig13a)},
+	{ID: "fig13b", acc: accFig13b, render: tableOf(renderFig13b)},
+	{ID: "fig14a", acc: accFig14a, render: tableOf(renderFig14a)},
+	{ID: "fig14b", acc: accFig14b, render: tableOf(renderFig14b)},
+	{ID: "fig15", acc: accFig15, render: tableOf(renderFig15)},
+	{ID: "fig16", acc: accFig16, render: tableOf(renderFig16)},
+	{ID: "fig22", acc: accFig22, render: tableOf(renderFig22)},
+	{ID: "fig18", acc: accFig18, render: tableOf(renderFig18)},
+	{ID: "fig19a", acc: accFig19a, render: tableOf(renderFig19a)},
+	{ID: "fig19b", acc: accFig19b, render: tableOf(renderFig19b)},
+	{ID: "fig19b-4dev", acc: accFourDevices, render: tableOf(renderFourDevices)},
+	{ID: "fig20", acc: accFig20, render: tableOf(renderFig20)},
+	{ID: "rtt", acc: accRTT, render: tableOf(renderRTT)},
+	{ID: "flipping", acc: accFlipping, render: func(o Options, p *Partial, pre string) *stats.Table { _, _, t := renderFlipping(o, p, pre); return t }},
+	{ID: "battery", acc: noAcc, render: whole(Battery)},
+	{ID: "streaming", Live: true, acc: noAcc, render: whole(Streaming)},
+	{ID: "ingest", Live: true, acc: noAcc, render: whole(Ingest)},
+	{ID: "ablation-bandwindow", acc: accAblationBandWindow, render: tableOf(renderAblationBandWindow)},
+	{ID: "ablation-prefilter", acc: accAblationPrefilter, render: tableOf(renderAblationPrefilter)},
+	{ID: "ablation-restarts", acc: accAblationRestarts, render: tableOf(renderAblationRestarts)},
+	{ID: "ablation-reportback", acc: accAblationReportBack, render: tableOf(renderAblationReportBack)},
+	{ID: "headline", acc: accHeadline, render: renderHeadline},
+	// A load test of the uwposd serving stack: its table reports
+	// wall-clock latencies, so it stays out of "all" and the baseline
+	// timing gate.
+	{ID: "service", Live: true, OptIn: true, acc: noAcc, render: whole(Service)},
+}
+
+// Experiments returns the registry in the paper's order.
+func Experiments() []Experiment { return append([]Experiment(nil), registry...) }
+
+func lookup(id string) (Experiment, error) {
+	for _, e := range registry {
+		if e.ID == id {
+			return e, nil
+		}
 	}
-	sort.Strings(ids)
-	return ids
+	return Experiment{}, fmt.Errorf("unknown experiment %q", id)
 }
 
-// CanShard reports whether an experiment id runs through the
-// accumulate/render split.
+// CanShard reports whether an experiment id runs sharded: it is
+// registered and not live.
 func CanShard(id string) bool {
-	_, ok := shardRegistry[id]
-	return ok
+	e, err := lookup(id)
+	return err == nil && !e.Live
 }
 
 // Accumulate runs one experiment's trials (this Options' shard span) into
 // p. Safe to call on a checkpoint-restored Partial: completed stage
 // prefixes are skipped.
 func Accumulate(id string, opt Options, p *Partial) error {
-	s, ok := shardRegistry[id]
-	if !ok {
-		return fmt.Errorf("experiment %q does not support sharding", id)
+	e, err := lookup(id)
+	if err != nil {
+		return err
 	}
-	s.acc(opt, p, "")
+	e.acc(opt, p, "")
 	return nil
 }
 
 // RenderPartial produces the experiment's table from accumulated (or
-// merged) state without running any trials. opt must carry the same
-// Seed/Samples/Quick as the accumulate runs — render halves recompute
-// sweep shapes and analytic columns from it.
+// merged) state without running any trials; only an experiment with no
+// mergeable state (battery and the live ones) runs whole here. opt must
+// carry the same Seed/Samples/Quick as the accumulate runs — render
+// halves recompute sweep shapes and analytic columns from it.
 func RenderPartial(id string, opt Options, p *Partial) (*stats.Table, error) {
-	s, ok := shardRegistry[id]
-	if !ok {
-		return nil, fmt.Errorf("experiment %q does not support sharding", id)
+	e, err := lookup(id)
+	if err != nil {
+		return nil, err
 	}
-	return s.render(opt, p, ""), nil
+	return e.render(opt, p, ""), nil
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"uwpos/internal/stats"
@@ -236,6 +237,22 @@ func TestPartialCodecRoundTrip(t *testing.T) {
 	if re, _ := old.MarshalBinary(); !bytes.Equal(re, pinned) {
 		t.Errorf("pinned blob re-encodes differently")
 	}
+
+	// A sketch of another capacity did not come from NewSketch, and
+	// merging it would fold a subsample as if exact: decode refuses it.
+	odd := NewPartial()
+	small := stats.NewSketchSize(100)
+	for i := 0; i < 200; i++ {
+		small.Add(float64(i))
+	}
+	odd.sketches["a/0"] = small
+	odd.sketchOrder = append(odd.sketchOrder, "a/0")
+	if blob, err = odd.MarshalBinary(); err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	if err := NewPartial().UnmarshalBinary(blob); err == nil || !strings.Contains(err.Error(), "capacity 100") {
+		t.Errorf("cap-100 sketch decoded: err = %v", err)
+	}
 }
 
 // TestShardSpec covers the planner arithmetic.
@@ -269,21 +286,9 @@ func TestShardSpec(t *testing.T) {
 	}
 }
 
-// TestShardRegistry sanity: ids are sorted, CanShard agrees, and unknown
-// ids are rejected by both entry points.
+// TestShardRegistry: unknown ids are rejected by every entry point, and
+// a live experiment accumulates nothing.
 func TestShardRegistry(t *testing.T) {
-	ids := ShardableIDs()
-	if len(ids) == 0 {
-		t.Fatal("no shardable experiments")
-	}
-	for i, id := range ids {
-		if !CanShard(id) {
-			t.Errorf("ShardableIDs lists %q but CanShard denies it", id)
-		}
-		if i > 0 && ids[i-1] >= id {
-			t.Errorf("ids not sorted: %q >= %q", ids[i-1], id)
-		}
-	}
 	if CanShard("no-such-experiment") {
 		t.Error("CanShard accepts unknown id")
 	}
@@ -292,5 +297,16 @@ func TestShardRegistry(t *testing.T) {
 	}
 	if _, err := RenderPartial("no-such-experiment", Options{}, NewPartial()); err == nil {
 		t.Error("RenderPartial accepts unknown id")
+	}
+	p := NewPartial()
+	for _, e := range Experiments() {
+		if e.Live {
+			if err := Accumulate(e.ID, Options{}, p); err != nil {
+				t.Errorf("accumulate %s: %v", e.ID, err)
+			}
+		}
+	}
+	if len(p.sketchOrder)+len(p.counterOrd)+len(p.doneOrder) != 0 {
+		t.Error("a live experiment accumulated state")
 	}
 }

@@ -98,20 +98,6 @@ func ReflectAcross(p, a, b Vec2) Vec2 {
 	return a.Add(along).Sub(perp)
 }
 
-// SideOfLine reports the sign of the cross product (b−a) × (p−a):
-// +1 if p is left of the directed line a→b, −1 if right, 0 if collinear.
-func SideOfLine(p, a, b Vec2) int {
-	c := b.Sub(a).Cross(p.Sub(a))
-	switch {
-	case c > 0:
-		return 1
-	case c < 0:
-		return -1
-	default:
-		return 0
-	}
-}
-
 // Deg2Rad converts degrees to radians.
 func Deg2Rad(d float64) float64 { return d * math.Pi / 180 }
 

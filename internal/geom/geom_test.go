@@ -75,14 +75,17 @@ func TestVec2Rotate90(t *testing.T) {
 }
 
 func TestCrossAndSide(t *testing.T) {
+	// The sign of (b−a) × (p−a) tells which side of the directed line
+	// a→b the point p lies on.
 	a, b := Vec2{0, 0}, Vec2{1, 0}
-	if SideOfLine(Vec2{0.5, 1}, a, b) != 1 {
-		t.Error("above the x-axis should be left (+1)")
+	side := func(p Vec2) float64 { return b.Sub(a).Cross(p.Sub(a)) }
+	if side(Vec2{0.5, 1}) <= 0 {
+		t.Error("above the x-axis should be left (+)")
 	}
-	if SideOfLine(Vec2{0.5, -1}, a, b) != -1 {
-		t.Error("below should be right (-1)")
+	if side(Vec2{0.5, -1}) >= 0 {
+		t.Error("below should be right (−)")
 	}
-	if SideOfLine(Vec2{2, 0}, a, b) != 0 {
+	if side(Vec2{2, 0}) != 0 {
 		t.Error("collinear should be 0")
 	}
 }
@@ -120,7 +123,7 @@ func TestReflectPreservesDistancesToLine(t *testing.T) {
 			t.Fatalf("reflection distorted distances at case %d", i)
 		}
 		// Side flips unless collinear.
-		if SideOfLine(p, a, b) != 0 && SideOfLine(p, a, b) == SideOfLine(q, a, b) {
+		if b.Sub(a).Cross(p.Sub(a))*b.Sub(a).Cross(q.Sub(a)) > 0 {
 			t.Fatalf("reflection kept the side at case %d", i)
 		}
 	}

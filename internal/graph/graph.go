@@ -46,9 +46,6 @@ func Complete(n int) *Graph {
 	return g
 }
 
-// N returns the node count.
-func (g *Graph) N() int { return g.n }
-
 // M returns the edge count.
 func (g *Graph) M() int { return len(g.edges) }
 
@@ -100,17 +97,6 @@ func (g *Graph) WithoutEdges(drop []Edge) *Graph {
 		delete(out.edges, e)
 	}
 	return out
-}
-
-// Degree returns the degree of node v.
-func (g *Graph) Degree(v int) int {
-	d := 0
-	for e := range g.edges {
-		if e.Low == v || e.High == v {
-			d++
-		}
-	}
-	return d
 }
 
 // adjacency builds adjacency lists, optionally excluding a node set.

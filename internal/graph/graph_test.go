@@ -21,7 +21,7 @@ func TestBasicOps(t *testing.T) {
 	if g.M() != 1 {
 		t.Errorf("after remove M = %d", g.M())
 	}
-	if g.Degree(0) != 1 || g.Degree(2) != 0 {
+	if adj := g.adjacency(nil); len(adj[0]) != 1 || len(adj[2]) != 0 {
 		t.Error("degree wrong")
 	}
 }

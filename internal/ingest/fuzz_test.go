@@ -33,7 +33,7 @@ func FuzzIngestPipeline(f *testing.F) {
 		h0 := 1 + int(header[0])%(len(x)/2)
 		h1 := 1 + int(header[1])%(len(x)/2)
 		bank := dsp.NewMatcherBank(dsp.NewMatcher(x[:h0]), dsp.NewMatcher(x[:h1]))
-		want := bank.NormalizedCrossCorrelateAll(x)
+		want := bank.NormalizedCrossCorrelateAllPooled(x)
 
 		// Buffer boundaries straight from the fuzz input: up to 7 cuts,
 		// including empty buffers via repeated cut points.

@@ -32,7 +32,7 @@ type Config struct {
 	// Bank is the template bank driving the shared scan. Required.
 	Bank *dsp.MatcherBank
 	// Normalized selects window-energy normalized correlation (values in
-	// [-1, 1]), matching MatcherBank.NormalizedCrossCorrelateAll.
+	// [-1, 1]), matching MatcherBank.NormalizedCrossCorrelateAllPooled.
 	Normalized bool
 	// SampleRate (Hz) converts buffer lengths to audio durations for the
 	// deadline budget. Required when Meter is set; otherwise unused.
@@ -129,14 +129,6 @@ func (p *Pipeline) Register(c Consumer) {
 	}
 }
 
-// Fed returns the number of raw stream samples pushed so far.
-func (p *Pipeline) Fed() int {
-	if p.fir != nil {
-		return p.rawFed
-	}
-	return p.bs.Fed()
-}
-
 // Push consumes the next audio buffer (any length, including empty):
 // prefilter, one shared forward transform per completed correlation
 // block, consumer fan-out. When a Meter is configured the buffer's
@@ -208,24 +200,6 @@ func (p *Pipeline) Close() {
 		c.Finish()
 	}
 	p.fbuf, p.fout, p.tail = nil, nil, nil
-}
-
-// Deadline reports the meter's aggregated per-buffer headroom; the zero
-// report when no Meter is configured.
-func (p *Pipeline) Deadline() DeadlineReport {
-	if p.cfg.Meter == nil {
-		return DeadlineReport{}
-	}
-	return p.cfg.Meter.Report()
-}
-
-// PolicyReport summarizes the pipeline's backpressure activity; the
-// zero report when no policy is configured.
-func (p *Pipeline) PolicyReport() PolicyReport {
-	if p.pol == nil {
-		return PolicyReport{}
-	}
-	return p.pol.rep
 }
 
 // flushShed replays the current shed window in capture order: absorbed

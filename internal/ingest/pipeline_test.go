@@ -70,7 +70,7 @@ func TestPipelineMatchesOneShot(t *testing.T) {
 	for _, normalized := range []bool{false, true} {
 		var want [][]float64
 		if normalized {
-			want = bank.NormalizedCrossCorrelateAll(stream)
+			want = bank.NormalizedCrossCorrelateAllPooled(stream)
 		} else {
 			want = bank.CrossCorrelateAll(stream)
 		}
@@ -108,7 +108,7 @@ func TestPipelinePrefilterMatchesBandLimit(t *testing.T) {
 	bank := testBank(fs)
 	stream := noiseStream(25000, 3)
 	filtered := sig.BandLimit(stream, lo, hi, fs)
-	want := bank.NormalizedCrossCorrelateAll(filtered)
+	want := bank.NormalizedCrossCorrelateAllPooled(filtered)
 
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 6; trial++ {
@@ -197,7 +197,7 @@ func TestPipelineSteadyStateAllocs(t *testing.T) {
 	p := sig.DefaultParams()
 	det := ranging.NewDetector(p, ranging.DetectorConfig{DisablePrefilter: true})
 	bank := dsp.NewMatcherBank(
-		dsp.NewMatcher(det.Template()),
+		dsp.NewMatcher(p.Preamble()),
 		dsp.NewMatcher(sig.LinearChirp(1000, 5000, 2048, fs)),
 	)
 	const chunk = 4096

@@ -25,22 +25,6 @@ func New(rows, cols int) *Mat {
 	return &Mat{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// FromRows builds a matrix from row slices. All rows must be equal length.
-func FromRows(rows [][]float64) *Mat {
-	if len(rows) == 0 {
-		return New(0, 0)
-	}
-	c := len(rows[0])
-	m := New(len(rows), c)
-	for i, r := range rows {
-		if len(r) != c {
-			panic("matrix: ragged rows")
-		}
-		copy(m.Data[i*c:(i+1)*c], r)
-	}
-	return m
-}
-
 // Identity returns the n×n identity matrix.
 func Identity(n int) *Mat {
 	m := New(n, n)
@@ -63,40 +47,6 @@ func (m *Mat) Add(i, j int, v float64) { m.Data[i*m.Cols+j] += v }
 func (m *Mat) Clone() *Mat {
 	out := New(m.Rows, m.Cols)
 	copy(out.Data, m.Data)
-	return out
-}
-
-// String renders the matrix for debugging.
-func (m *Mat) String() string {
-	s := ""
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			s += fmt.Sprintf("%9.4f ", m.At(i, j))
-		}
-		s += "\n"
-	}
-	return s
-}
-
-// Mul returns a×b. Panics on shape mismatch.
-func Mul(a, b *Mat) *Mat {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("matrix: Mul shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := New(a.Rows, b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		for k := 0; k < a.Cols; k++ {
-			av := a.At(i, k)
-			if av == 0 {
-				continue
-			}
-			rowB := b.Data[k*b.Cols : (k+1)*b.Cols]
-			rowO := out.Data[i*out.Cols : (i+1)*out.Cols]
-			for j, bv := range rowB {
-				rowO[j] += av * bv
-			}
-		}
-	}
 	return out
 }
 
@@ -141,67 +91,6 @@ func MulInto(dst, a, b *Mat) *Mat {
 		}
 	}
 	return dst
-}
-
-// Transpose returns the transpose of m.
-func Transpose(m *Mat) *Mat {
-	out := New(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Set(j, i, m.At(i, j))
-		}
-	}
-	return out
-}
-
-// Scale returns s·m as a new matrix.
-func Scale(m *Mat, s float64) *Mat {
-	out := m.Clone()
-	for i := range out.Data {
-		out.Data[i] *= s
-	}
-	return out
-}
-
-// Sub returns a−b.
-func Sub(a, b *Mat) *Mat {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic("matrix: Sub shape mismatch")
-	}
-	out := New(a.Rows, a.Cols)
-	for i := range out.Data {
-		out.Data[i] = a.Data[i] - b.Data[i]
-	}
-	return out
-}
-
-// MaxAbsDiff returns max |a_ij − b_ij|, a convergence metric.
-func MaxAbsDiff(a, b *Mat) float64 {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic("matrix: MaxAbsDiff shape mismatch")
-	}
-	var m float64
-	for i := range a.Data {
-		if d := math.Abs(a.Data[i] - b.Data[i]); d > m {
-			m = d
-		}
-	}
-	return m
-}
-
-// IsSymmetric reports whether m is square and symmetric within tol.
-func IsSymmetric(m *Mat, tol float64) bool {
-	if m.Rows != m.Cols {
-		return false
-	}
-	for i := 0; i < m.Rows; i++ {
-		for j := i + 1; j < m.Cols; j++ {
-			if math.Abs(m.At(i, j)-m.At(j, i)) > tol {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // EigSym computes the eigendecomposition of a symmetric matrix using the
@@ -332,52 +221,6 @@ func PseudoInverse(a *Mat, tol float64) *Mat {
 		}
 	}
 	return out
-}
-
-// SolveSPD solves A x = b for symmetric positive-definite A by Cholesky
-// decomposition. Returns an error if A is not SPD within tolerance.
-func SolveSPD(a *Mat, b []float64) ([]float64, error) {
-	n := a.Rows
-	if a.Cols != n || len(b) != n {
-		return nil, fmt.Errorf("matrix: SolveSPD shape mismatch (%dx%d, b %d)", a.Rows, a.Cols, len(b))
-	}
-	// Cholesky: A = L Lᵀ.
-	l := New(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			sum := a.At(i, j)
-			for k := 0; k < j; k++ {
-				sum -= l.At(i, k) * l.At(j, k)
-			}
-			if i == j {
-				if sum <= 0 {
-					return nil, fmt.Errorf("matrix: not positive definite at pivot %d (%g)", i, sum)
-				}
-				l.Set(i, i, math.Sqrt(sum))
-			} else {
-				l.Set(i, j, sum/l.At(j, j))
-			}
-		}
-	}
-	// Forward substitution L y = b.
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		sum := b[i]
-		for k := 0; k < i; k++ {
-			sum -= l.At(i, k) * y[k]
-		}
-		y[i] = sum / l.At(i, i)
-	}
-	// Back substitution Lᵀ x = y.
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		sum := y[i]
-		for k := i + 1; k < n; k++ {
-			sum -= l.At(k, i) * x[k]
-		}
-		x[i] = sum / l.At(i, i)
-	}
-	return x, nil
 }
 
 // DoubleCenter applies the classical-MDS double-centering transform

@@ -1,11 +1,115 @@
 package matrix
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// The dense helpers below are the reference arithmetic the kernels are
+// checked against: MulInto against Mul, PseudoInverse and EigSym through
+// products and transposes.
+
+// FromRows builds a matrix from row slices. All rows must be equal length.
+func FromRows(rows [][]float64) *Mat {
+	if len(rows) == 0 {
+		return New(0, 0)
+	}
+	c := len(rows[0])
+	m := New(len(rows), c)
+	for i, r := range rows {
+		if len(r) != c {
+			panic("matrix: ragged rows")
+		}
+		copy(m.Data[i*c:(i+1)*c], r)
+	}
+	return m
+}
+
+// Mul returns a×b. Panics on shape mismatch.
+func Mul(a, b *Mat) *Mat {
+	if a.Cols != b.Rows {
+		panic(fmt.Sprintf("matrix: Mul shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
+	}
+	out := New(a.Rows, b.Cols)
+	for i := 0; i < a.Rows; i++ {
+		for k := 0; k < a.Cols; k++ {
+			av := a.At(i, k)
+			if av == 0 {
+				continue
+			}
+			rowB := b.Data[k*b.Cols : (k+1)*b.Cols]
+			rowO := out.Data[i*out.Cols : (i+1)*out.Cols]
+			for j, bv := range rowB {
+				rowO[j] += av * bv
+			}
+		}
+	}
+	return out
+}
+
+// Transpose returns the transpose of m.
+func Transpose(m *Mat) *Mat {
+	out := New(m.Cols, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		for j := 0; j < m.Cols; j++ {
+			out.Set(j, i, m.At(i, j))
+		}
+	}
+	return out
+}
+
+// Scale returns s·m as a new matrix.
+func Scale(m *Mat, s float64) *Mat {
+	out := m.Clone()
+	for i := range out.Data {
+		out.Data[i] *= s
+	}
+	return out
+}
+
+// Sub returns a−b.
+func Sub(a, b *Mat) *Mat {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		panic("matrix: Sub shape mismatch")
+	}
+	out := New(a.Rows, a.Cols)
+	for i := range out.Data {
+		out.Data[i] = a.Data[i] - b.Data[i]
+	}
+	return out
+}
+
+// MaxAbsDiff returns max |a_ij − b_ij|, a convergence metric.
+func MaxAbsDiff(a, b *Mat) float64 {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		panic("matrix: MaxAbsDiff shape mismatch")
+	}
+	var m float64
+	for i := range a.Data {
+		if d := math.Abs(a.Data[i] - b.Data[i]); d > m {
+			m = d
+		}
+	}
+	return m
+}
+
+// IsSymmetric reports whether m is square and symmetric within tol.
+func IsSymmetric(m *Mat, tol float64) bool {
+	if m.Rows != m.Cols {
+		return false
+	}
+	for i := 0; i < m.Rows; i++ {
+		for j := i + 1; j < m.Cols; j++ {
+			if math.Abs(m.At(i, j)-m.At(j, i)) > tol {
+				return false
+			}
+		}
+	}
+	return true
+}
 
 func randSym(r *rand.Rand, n int) *Mat {
 	m := New(n, n)
@@ -175,32 +279,6 @@ func TestPseudoInversePropertyRandomLaplacian(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSolveSPD(t *testing.T) {
-	a := FromRows([][]float64{{4, 2}, {2, 3}})
-	b := []float64{10, 8}
-	x, err := SolveSPD(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Check A x == b.
-	for i := 0; i < 2; i++ {
-		got := a.At(i, 0)*x[0] + a.At(i, 1)*x[1]
-		if math.Abs(got-b[i]) > 1e-10 {
-			t.Errorf("residual at %d: %g", i, got-b[i])
-		}
-	}
-}
-
-func TestSolveSPDRejectsIndefinite(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
-	if _, err := SolveSPD(a, []float64{1, 1}); err == nil {
-		t.Fatal("expected error for indefinite matrix")
-	}
-	if _, err := SolveSPD(New(2, 2), []float64{1}); err == nil {
-		t.Fatal("expected shape error")
 	}
 }
 

@@ -253,23 +253,6 @@ func stressOf(dist, w [][]float64, x []geom.Vec2) float64 {
 	return s
 }
 
-// Stress exposes the weighted raw stress of an arbitrary configuration.
-func Stress(dist, w [][]float64, x []geom.Vec2) float64 { return stressOf(dist, w, x) }
-
-// NormalizedStress returns sqrt(stress / Σw): the RMS per-link residual.
-func NormalizedStress(dist, w [][]float64, x []geom.Vec2) float64 {
-	var wsum float64
-	for i := range w {
-		for j := i + 1; j < len(w); j++ {
-			wsum += symWeight(w, i, j)
-		}
-	}
-	if wsum == 0 {
-		return 0
-	}
-	return math.Sqrt(stressOf(dist, w, x) / wsum)
-}
-
 // initialConfig seeds the iteration: explicit InitConfig if given, else
 // classical MDS on the geodesic-completed distance matrix, else random.
 func initialConfig(dist, w [][]float64, opts Options) []geom.Vec2 {

@@ -314,16 +314,17 @@ func TestNormalizedStressHelpers(t *testing.T) {
 	pts := []geom.Vec2{{X: 0, Y: 0}, {X: 4, Y: 0}, {X: 0, Y: 3}}
 	d := distMatrix(pts)
 	w := onesWeights(3)
-	if s := Stress(d, w, pts); s > 1e-12 {
+	if s := stressOf(d, w, pts); s > 1e-12 {
 		t.Errorf("exact config stress %g", s)
 	}
-	// Perturb one point by 1 m: normalized stress should be O(1).
+	// Perturb one point by 1 m: the normalized stress sqrt(σ/Σw) over the
+	// three unit-weight links should be O(1).
 	mv := []geom.Vec2{{X: 0, Y: 0}, {X: 4, Y: 0}, {X: 0, Y: 4}}
-	ns := NormalizedStress(d, w, mv)
+	ns := math.Sqrt(stressOf(d, w, mv) / 3)
 	if ns < 0.3 || ns > 1.5 {
 		t.Errorf("normalized stress %g out of expected band", ns)
 	}
-	if NormalizedStress(d, [][]float64{{0, 0, 0}, {0, 0, 0}, {0, 0, 0}}, pts) != 0 {
+	if stressOf(d, [][]float64{{0, 0, 0}, {0, 0, 0}, {0, 0, 0}}, mv) != 0 {
 		t.Error("zero weights should give 0")
 	}
 }

@@ -1,13 +1,94 @@
 package protocol
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"uwpos/internal/geom"
 )
+
+// The collision checker below is the oracle for the paper's guard
+// condition T_guard > 2·τ_max: it verifies constructively that the slot
+// times SlotTime hands out keep every packet apart at every receiver.
+
+// Transmission is one scheduled packet in absolute time (leader TX = 0).
+type Transmission struct {
+	Device int
+	StartS float64 // first sample leaves the speaker
+	EndS   float64 // last sample leaves the speaker
+}
+
+// Collision reports two packets overlapping at some receiver.
+type Collision struct {
+	A, B     int     // transmitting devices
+	Receiver int     // device that hears both at once
+	OverlapS float64 // overlap duration at that receiver
+}
+
+// MaxRange returns the unambiguous ranging distance c·T_guard/2 implied by
+// the guard interval (32 m at the paper's 42 ms and c = 1500 m/s).
+func (p Params) MaxRange(c float64) float64 { return c * p.TGuard / 2 }
+
+// Schedule derives the absolute transmission times of a full round for
+// the given device positions, assuming every device hears the leader
+// directly (the §2.3 base case): device i transmits at τ₀ᵢ + Δ0 + (i−1)Δ1.
+func (p Params) Schedule(pos []geom.Vec3, c float64) ([]Transmission, error) {
+	if len(pos) != p.N {
+		return nil, fmt.Errorf("protocol: %d positions for N=%d", len(pos), p.N)
+	}
+	if c <= 0 {
+		return nil, fmt.Errorf("protocol: non-positive sound speed")
+	}
+	out := make([]Transmission, 0, p.N)
+	out = append(out, Transmission{Device: 0, StartS: 0, EndS: p.TPacket})
+	for i := 1; i < p.N; i++ {
+		tau := pos[0].Dist(pos[i]) / c
+		start := tau + p.SlotTime(i)
+		out = append(out, Transmission{Device: i, StartS: start, EndS: start + p.TPacket})
+	}
+	return out, nil
+}
+
+// FindCollisions checks whether any receiver hears two packets
+// overlapping in time, given the geometry. The guard condition
+// guarantees none within MaxRange; beyond it (e.g. divers past the 32 m
+// design range) this exposes what happens when the guard is violated.
+func (p Params) FindCollisions(pos []geom.Vec3, c float64) ([]Collision, error) {
+	sched, err := p.Schedule(pos, c)
+	if err != nil {
+		return nil, err
+	}
+	var out []Collision
+	for r := 0; r < p.N; r++ {
+		type arrival struct {
+			dev        int
+			start, end float64
+		}
+		var arrs []arrival
+		for _, tx := range sched {
+			if tx.Device == r {
+				continue
+			}
+			tau := pos[tx.Device].Dist(pos[r]) / c
+			arrs = append(arrs, arrival{tx.Device, tx.StartS + tau, tx.EndS + tau})
+		}
+		sort.Slice(arrs, func(i, j int) bool { return arrs[i].start < arrs[j].start })
+		for i := 1; i < len(arrs); i++ {
+			prev, cur := arrs[i-1], arrs[i]
+			if cur.start < prev.end {
+				out = append(out, Collision{
+					A: prev.dev, B: cur.dev, Receiver: r,
+					OverlapS: prev.end - cur.start,
+				})
+			}
+		}
+	}
+	return out, nil
+}
 
 func TestScheduleBaseCase(t *testing.T) {
 	p := DefaultParams(3)
@@ -86,8 +167,15 @@ func TestCollisionsBeyondGuard(t *testing.T) {
 }
 
 func TestGuardSufficientFor(t *testing.T) {
-	p := DefaultParams(5)
-	if got := p.GuardSufficientFor(1500); math.Abs(got-31.5) > 1e-9 {
+	// The 42 ms default guard covers the paper's 32 m design range: two
+	// devices 31.5 m apart at the far ends of a line never collide.
+	p := DefaultParams(3)
+	const c = 1500.0
+	if got := p.MaxRange(c); math.Abs(got-31.5) > 1e-9 {
 		t.Errorf("guard range %g", got)
+	}
+	pos := []geom.Vec3{{X: 0}, {X: 31.5}, {X: -31.5}}
+	if cols, err := p.FindCollisions(pos, c); err != nil || len(cols) != 0 {
+		t.Errorf("collisions %v, err %v at the design range", cols, err)
 	}
 }

@@ -38,10 +38,6 @@ func (p Params) Validate() error {
 // Delta1 is the slot pitch T_packet + T_guard.
 func (p Params) Delta1() float64 { return p.TPacket + p.TGuard }
 
-// MaxRange returns the unambiguous ranging distance c·T_guard/2 implied by
-// the guard interval (32 m at the paper's 42 ms and c = 1500 m/s).
-func (p Params) MaxRange(c float64) float64 { return c * p.TGuard / 2 }
-
 // SlotTime returns device id's transmit time in a clock where the leader's
 // message arrives at 0: Δ0 + (id−1)·Δ1. The leader itself (id 0) transmits
 // at −... — callers never ask for id 0; it panics to catch misuse.

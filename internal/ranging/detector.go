@@ -73,17 +73,6 @@ func NewDetector(p sig.Params, cfg DetectorConfig) *Detector {
 	return &Detector{params: p, cfg: cfg, matcher: sig.SharedMatcher("preamble", p, sig.SharedPreamble)}
 }
 
-// Params returns the preamble numerology the detector was built with.
-func (d *Detector) Params() sig.Params { return d.params }
-
-// Template returns a copy of the reference preamble waveform. The
-// detector's internal template is shared process-wide, so unlike the
-// pre-matcher API (which returned the live per-detector slice), mutating
-// the returned copy has no effect on detection.
-func (d *Detector) Template() []float64 {
-	return append([]float64(nil), d.matcher.Template()...)
-}
-
 // Detect scans the stream and returns validated detections sorted by index.
 //
 // Stage 1 (cross-correlation) proposes candidate offsets; underwater spiky
@@ -126,15 +115,6 @@ func (d *Detector) StreamWith(meter *ingest.Meter) *StreamDetector {
 // owning one.
 func (d *Detector) Consumer(template int) *StreamDetector {
 	return newStreamConsumer(d.params, d.cfg, template)
-}
-
-// ValidateCandidate computes the PN auto-correlation score for a candidate
-// preamble start: the mean pairwise correlation of the four PN-corrected
-// OFDM symbol bodies. Out-of-range candidates score 0. The stream must
-// already be band-limited if the detector's prefilter is enabled (Detect
-// and StreamDetector handle this internally).
-func (d *Detector) ValidateCandidate(stream []float64, start int) float64 {
-	return validatePN(d.params, stream, start)
 }
 
 // validatePN is the stage-2 scoring shared by the one-shot and streaming

@@ -104,9 +104,3 @@ func (r *Ranger) RefineArrival(mic1, mic2 []float64, det Detection) (TOAResult, 
 		ArrivalIdx: float64(det.CoarseIndex) - guard + sp.TauTaps,
 	}, nil
 }
-
-// ProcessSingleMic is the single-microphone ablation of Fig. 11b, run on
-// an arbitrary mic stream.
-func (r *Ranger) ProcessSingleMic(mic []float64) ([]TOAResult, error) {
-	return r.ProcessDualMic(mic, nil)
-}

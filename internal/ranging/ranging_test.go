@@ -83,7 +83,7 @@ func TestDetectorPeakInvariance(t *testing.T) {
 		stream := makeStream(t, p, at, 70000, 0.8, 0.05, seed)
 		d := NewDetector(p, DetectorConfig{})
 		filtered := sig.BandLimit(stream, p.BandLowHz, p.BandHighHz, p.SampleRate)
-		ref := dsp.NormalizedCrossCorrelate(filtered, p.Preamble())
+		ref := dsp.NewMatcher(p.Preamble()).NormalizedCrossCorrelatePooled(filtered)
 		refPeaks := dsp.FindPeaks(ref, 0.15)
 		refIdx := make(map[int]bool, len(refPeaks))
 		for _, pk := range refPeaks {
@@ -145,21 +145,20 @@ func TestDetectorRejectsImpulsiveSpikes(t *testing.T) {
 func TestValidateCandidateExact(t *testing.T) {
 	p := testParams()
 	stream := makeStream(t, p, 5000, 30000, 1, 0, 5)
-	d := NewDetector(p, DetectorConfig{})
-	if s := d.ValidateCandidate(stream, 5000); s < 0.999 {
+	if s := validatePN(p, stream, 5000); s < 0.999 {
 		t.Errorf("noiseless validation score %g", s)
 	}
 	// A misaligned candidate scores lower than aligned (the cyclic-prefix
 	// structure keeps some correlation at any shift, so the margin is
 	// moderate rather than total).
-	if s := d.ValidateCandidate(stream, 5000+977); s > 0.9 {
+	if s := validatePN(p, stream, 5000+977); s > 0.9 {
 		t.Errorf("misaligned score %g unexpectedly high", s)
 	}
 	// Out of range is 0.
-	if s := d.ValidateCandidate(stream, -1); s != 0 {
+	if s := validatePN(p, stream, -1); s != 0 {
 		t.Error("negative index should score 0")
 	}
-	if s := d.ValidateCandidate(stream, len(stream)); s != 0 {
+	if s := validatePN(p, stream, len(stream)); s != 0 {
 		t.Error("past-end index should score 0")
 	}
 }

@@ -33,21 +33,21 @@ import (
 //     time, so a provisional detection is replaced when a higher peak
 //     within MinSeparation arrives in a later chunk.
 //
-// A session created by NewStreamDetector or Detector.Stream owns its
-// pipeline: Feed pushes buffers, Flush closes the stream and returns the
-// final set. A session created by Detector.Consumer is driven by an
-// external shared pipeline instead — register it, push buffers to that
-// pipeline, and read Detections after the pipeline closes. Detections
-// reports the current (provisional) set at any time. Indices are global
-// sample positions in the full stream. A session is single-stream and not
-// safe for concurrent use; sessions share the process-wide template
-// matcher read-only, so any number of sessions may run concurrently.
+// A session created by Detector.Stream owns its pipeline: Feed pushes
+// buffers, Flush closes the stream and returns the final set. A session
+// created by Detector.Consumer is driven by an external shared pipeline
+// instead — register it, push buffers to that pipeline, and read
+// Detections after the pipeline closes. Detections reports the current
+// (provisional) set at any time. Indices are global sample positions in
+// the full stream. A session is single-stream and not safe for
+// concurrent use; sessions share the process-wide template matcher
+// read-only, so any number of sessions may run concurrently.
 type StreamDetector struct {
 	params sig.Params
 	cfg    DetectorConfig
 	tmpl   int              // bank template index this session consumes
 	pipe   *ingest.Pipeline // standalone mode only; nil when externally driven
-	fed    int              // filtered samples observed (external-mode Fed)
+	fed    int              // filtered samples observed in consumer mode
 
 	// Filtered samples retained for PN validation: win[0] holds global
 	// filtered index winStart. The window is trimmed to the earliest
@@ -85,13 +85,6 @@ type candidate struct {
 	score float64
 }
 
-// NewStreamDetector builds a chunked detection session for the given
-// preamble numerology. Equivalent to NewDetector(p, cfg).Stream().
-func NewStreamDetector(p sig.Params, cfg DetectorConfig) *StreamDetector {
-	cfg.defaults(p)
-	return newStreamDetector(p, cfg, sig.SharedMatcher("preamble", p, sig.SharedPreamble), nil)
-}
-
 // newStreamDetector builds a standalone session: a consumer-mode detector
 // registered on its own single-template low-latency pipeline (with the
 // band-pass prefilter unless disabled, and the optional deadline meter).
@@ -115,17 +108,6 @@ func newStreamDetector(p sig.Params, cfg DetectorConfig, matcher *dsp.Matcher, m
 // index template (no pipeline of its own).
 func newStreamConsumer(p sig.Params, cfg DetectorConfig, template int) *StreamDetector {
 	return &StreamDetector{params: p, cfg: cfg, tmpl: template}
-}
-
-// Fed returns the number of raw stream samples consumed so far. In
-// consumer mode (no owned pipeline) it reports the filtered samples
-// observed instead — equal to the raw count once the driving pipeline
-// has closed.
-func (s *StreamDetector) Fed() int {
-	if s.pipe != nil {
-		return s.pipe.Fed()
-	}
-	return s.fed
 }
 
 // Feed consumes the next audio chunk (any length, including empty) by

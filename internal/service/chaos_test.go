@@ -128,7 +128,7 @@ func TestGoldenRestoreEquivalence(t *testing.T) {
 				wg.Wait()
 			}
 			eachSession(func(i int) { mustRound(t, srvA, ids[i]) }) // round k = 1
-			crashImage := copySnapDir(t, srvA.store.Dir())
+			crashImage := copySnapDir(t, srvA.store.dir)
 
 			want := make([][]string, len(seeds))
 			for r := 0; r < extraRounds; r++ {

@@ -209,7 +209,7 @@ func TestStoreSaveLoadDelete(t *testing.T) {
 	if ids, _ = st.List(); len(ids) != 0 {
 		t.Fatalf("after quarantine: %v", ids)
 	}
-	qb, err := os.ReadFile(filepath.Join(st.Dir(), quarantineDir, "s-2"+snapExt))
+	qb, err := os.ReadFile(filepath.Join(st.dir, quarantineDir, "s-2"+snapExt))
 	if err != nil || string(qb) != "other" {
 		t.Fatalf("quarantined bytes %q %v", qb, err)
 	}

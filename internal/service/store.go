@@ -40,9 +40,6 @@ func OpenStore(dir string, inj *faultinject.Injector) (*Store, error) {
 	return &Store{dir: dir, inj: inj}, nil
 }
 
-// Dir returns the store's state directory.
-func (st *Store) Dir() string { return st.dir }
-
 func (st *Store) path(id string) string { return filepath.Join(st.dir, id+snapExt) }
 
 // Save durably writes one session's snapshot blob. A crash mid-write

@@ -83,12 +83,6 @@ func (p Params) BinRange() (lo, hi int) {
 	return lo, hi
 }
 
-// NumBins returns the number of occupied subcarriers.
-func (p Params) NumBins() int {
-	lo, hi := p.BinRange()
-	return hi - lo
-}
-
 // PreambleLen returns the total preamble length in samples.
 func (p Params) PreambleLen() int { return p.NumSymbols * (p.SymbolLen + p.CPLen) }
 

@@ -41,33 +41,3 @@ func gcd(a, b int) int {
 	}
 	return a
 }
-
-// zcAutocorrPeakToSide returns the ratio between the zero-lag peak and the
-// largest side lobe of the cyclic autocorrelation; exported for tests and
-// diagnostics via ZCQuality.
-func zcAutocorrPeakToSide(zc []complex128) float64 {
-	n := len(zc)
-	peak := 0.0
-	side := 0.0
-	for lag := 0; lag < n; lag++ {
-		var s complex128
-		for k := 0; k < n; k++ {
-			s += zc[k] * cmplx.Conj(zc[(k+lag)%n])
-		}
-		a := cmplx.Abs(s)
-		if lag == 0 {
-			peak = a
-		} else if a > side {
-			side = a
-		}
-	}
-	if side == 0 {
-		return math.Inf(1)
-	}
-	return peak / side
-}
-
-// ZCQuality reports the peak-to-max-sidelobe ratio of the cyclic
-// autocorrelation of the given ZC sequence (ideal sequences are ~Inf;
-// anything above ~10 is excellent for synchronization).
-func ZCQuality(u, n int) float64 { return zcAutocorrPeakToSide(ZadoffChu(u, n)) }

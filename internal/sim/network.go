@@ -226,12 +226,6 @@ func pairKey(a, b int) [2]int {
 	return [2]int{a, b}
 }
 
-// Params exposes the preamble numerology in use.
-func (nw *Network) Params() sig.Params { return nw.params }
-
-// Proto exposes the protocol timing in use.
-func (nw *Network) Proto() protocol.Params { return nw.proto }
-
 // N returns the device count.
 func (nw *Network) N() int { return len(nw.cfg.Devices) }
 

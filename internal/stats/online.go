@@ -17,7 +17,7 @@ import (
 // O(1) memory, numerically stable, exact mean and sample variance for any
 // stream length. The zero value is ready to use. Results depend on
 // insertion order only through floating-point rounding; feed it from an
-// order-deterministic source (engine.StreamOrdered, or any serial loop)
+// order-deterministic source (engine.StreamOrderedRange, or a serial loop)
 // when bit-reproducibility across worker counts matters.
 type Welford struct {
 	n    int64
@@ -32,9 +32,6 @@ func (w *Welford) Add(v float64) {
 	w.mean += d / float64(w.n)
 	w.m2 += d * (v - w.mean)
 }
-
-// Count returns the number of observations.
-func (w *Welford) Count() int64 { return w.n }
 
 // Mean returns the running mean (NaN for an empty accumulator).
 func (w *Welford) Mean() float64 {
@@ -127,8 +124,8 @@ func newSketchSource(draws uint64) *countingSource {
 // over the retained values in exact mode, Welford beyond.
 //
 // A Sketch is deterministic given its insertion order; deliver from
-// engine.StreamOrdered to keep results identical across worker counts.
-// Not safe for concurrent use (engine sinks are serialized).
+// engine.StreamOrderedRange to keep results identical across worker
+// counts. Not safe for concurrent use (engine sinks are serialized).
 type Sketch struct {
 	cap  int
 	vals []float64
@@ -192,6 +189,10 @@ func (s *Sketch) Add(v float64) {
 // Count returns the number of observations consumed.
 func (s *Sketch) Count() int64 { return s.w.n }
 
+// Cap returns the sketch's capacity: its exact-mode threshold and
+// reservoir size.
+func (s *Sketch) Cap() int { return s.cap }
+
 // Exact reports whether every observation is still retained, i.e. whether
 // Quantile answers are exact rather than reservoir estimates.
 func (s *Sketch) Exact() bool { return s.w.n <= int64(s.cap) }
@@ -240,6 +241,11 @@ func (s *Sketch) Values() []float64 {
 // are treated as arriving after every observation s has already consumed.
 // Folding per-shard sketches into shard 0's sketch in shard-index order
 // therefore reconstructs the single-stream sketch.
+//
+// s and o must have the same capacity. A reservoir-mode o folded into a
+// larger s would leave s holding fewer values than it consumed while
+// Exact still reported true, so its quantiles would silently come from a
+// subsample.
 //
 // While o is exact (it still retains every observation it consumed, i.e.
 // each shard saw at most the sketch capacity), the merge literally

@@ -14,8 +14,8 @@ func TestWelfordMatchesTwoPass(t *testing.T) {
 		xs[i] = 5 + 2*rng.NormFloat64()
 		w.Add(xs[i])
 	}
-	if w.Count() != 1000 {
-		t.Fatalf("count %d", w.Count())
+	if w.n != 1000 {
+		t.Fatalf("count %d", w.n)
 	}
 	if m := Mean(xs); math.Abs(w.Mean()-m) > 1e-12 {
 		t.Errorf("mean %v vs two-pass %v", w.Mean(), m)
@@ -49,8 +49,8 @@ func TestWelfordMerge(t *testing.T) {
 		}
 	}
 	a.Merge(b)
-	if a.Count() != all.Count() {
-		t.Fatalf("merged count %d vs %d", a.Count(), all.Count())
+	if a.n != all.n {
+		t.Fatalf("merged count %d vs %d", a.n, all.n)
 	}
 	if math.Abs(a.Mean()-all.Mean()) > 1e-12 || math.Abs(a.Std()-all.Std()) > 1e-12 {
 		t.Errorf("merged mean/std %v/%v vs %v/%v", a.Mean(), a.Std(), all.Mean(), all.Std())
@@ -58,7 +58,7 @@ func TestWelfordMerge(t *testing.T) {
 	// Merging into an empty accumulator copies.
 	var empty Welford
 	empty.Merge(all)
-	if empty.Mean() != all.Mean() || empty.Count() != all.Count() {
+	if empty.Mean() != all.Mean() || empty.n != all.n {
 		t.Error("merge into empty should copy")
 	}
 }

@@ -93,17 +93,6 @@ func Std(xs []float64) float64 {
 	return math.Sqrt(s / float64(len(xs)-1))
 }
 
-// CDF returns (value, cumulative fraction) pairs over sorted xs.
-func CDF(xs []float64) [][2]float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	out := make([][2]float64, len(s))
-	for i, v := range s {
-		out[i] = [2]float64{v, float64(i+1) / float64(len(s))}
-	}
-	return out
-}
-
 // CDFAt returns the fraction of xs ≤ v.
 func CDFAt(xs []float64, v float64) float64 {
 	if len(xs) == 0 {

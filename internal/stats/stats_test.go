@@ -98,17 +98,9 @@ func TestMeanStd(t *testing.T) {
 
 func TestCDF(t *testing.T) {
 	xs := []float64{3, 1, 2}
-	cdf := CDF(xs)
-	if len(cdf) != 3 {
-		t.Fatal("length")
+	if got := CDFAt(xs, 3); got != 1 {
+		t.Errorf("CDFAt(3) = %g", got)
 	}
-	if cdf[0][0] != 1 || cdf[2][0] != 3 {
-		t.Error("values not sorted")
-	}
-	if math.Abs(cdf[1][1]-2.0/3) > 1e-12 || cdf[2][1] != 1 {
-		t.Error("fractions wrong")
-	}
-	// CDFAt agrees with the curve.
 	if got := CDFAt(xs, 2); math.Abs(got-2.0/3) > 1e-12 {
 		t.Errorf("CDFAt(2) = %g", got)
 	}
@@ -127,12 +119,19 @@ func TestCDFIsSortedProperty(t *testing.T) {
 		for i := range xs {
 			xs[i] = rng.NormFloat64()
 		}
-		cdf := CDF(xs)
-		vals := make([]float64, len(cdf))
-		for i, p := range cdf {
-			vals[i] = p[0]
+		// Evaluated at the sorted samples, the empirical CDF rises
+		// monotonically from above 0 to exactly 1.
+		probes := append([]float64(nil), xs...)
+		sort.Float64s(probes)
+		prev := 0.0
+		for _, v := range probes {
+			c := CDFAt(xs, v)
+			if c <= 0 || c < prev {
+				return false
+			}
+			prev = c
 		}
-		return sort.Float64sAreSorted(vals)
+		return prev == 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

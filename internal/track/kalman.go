@@ -29,11 +29,6 @@ type FilterConfig struct {
 	MaxSpeed float64
 }
 
-// DefaultConfig returns values matched to the paper's deployment numbers.
-func DefaultConfig() FilterConfig {
-	return FilterConfig{ProcessAccel: 0.2, FixStd: 0.8, MaxSpeed: 1.5}
-}
-
 func (c *FilterConfig) defaults() {
 	if c.ProcessAccel == 0 {
 		c.ProcessAccel = 0.2

@@ -10,7 +10,7 @@ import (
 )
 
 func TestTrackerRequiresFixes(t *testing.T) {
-	tr := NewTracker(DefaultConfig())
+	tr := NewTracker(FilterConfig{})
 	if _, err := tr.PositionAt(0); err == nil {
 		t.Error("position before any fix should error")
 	}
@@ -20,7 +20,7 @@ func TestTrackerRequiresFixes(t *testing.T) {
 }
 
 func TestTrackerRejectsBadFixes(t *testing.T) {
-	tr := NewTracker(DefaultConfig())
+	tr := NewTracker(FilterConfig{})
 	if err := tr.Fix(0, geom.Vec3{X: math.NaN()}); err == nil {
 		t.Error("NaN fix should error")
 	}
@@ -35,7 +35,7 @@ func TestTrackerRejectsBadFixes(t *testing.T) {
 func smoothCfg() FilterConfig {
 	// Precision assertions need a small tracking index
 	// λ = a·dt²/σ_fix ≪ 1; at 4–5 s fix spacing that means a ≈ 0.01 m/s²
-	// (a deliberately calm diver). DefaultConfig trades smoothing for
+	// (a deliberately calm diver). The default 0.2 m/s² trades smoothing for
 	// responsiveness to real diver acceleration.
 	return FilterConfig{ProcessAccel: 0.01, FixStd: 0.8, MaxSpeed: 1.5}
 }
