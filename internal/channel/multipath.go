@@ -31,8 +31,11 @@ type ImpulseOptions struct {
 	// is precisely what turns an occlusion into a +several-metre distance
 	// outlier rather than a mere SNR loss (§3.2, Fig. 19a).
 	OccludeShallow bool
-	RefAmplitude   float64 // amplitude of the direct ray at 1 m (default 1)
 }
+
+// refAmplitude is the amplitude of the direct ray at 1 m; the link gain
+// (speaker, directivity, microphone) scales the taps afterwards.
+const refAmplitude = 1.0
 
 func (o *ImpulseOptions) defaults() {
 	if o.MaxOrder <= 0 {
@@ -40,9 +43,6 @@ func (o *ImpulseOptions) defaults() {
 	}
 	if o.DirectAttenuated == 0 {
 		o.DirectAttenuated = 1
-	}
-	if o.RefAmplitude == 0 {
-		o.RefAmplitude = 1
 	}
 }
 
@@ -73,7 +73,7 @@ func (e *Environment) ImpulseResponse(tx, rx geom.Vec3, opts ImpulseOptions) []T
 		if l < 0.1 {
 			l = 0.1 // avoid the singularity for co-located devices
 		}
-		amp := opts.RefAmplitude / l
+		amp := refAmplitude / l
 		amp *= math.Pow(10, -absDBPerM*l/20)
 		amp *= math.Pow(e.SurfaceLoss, float64(surf)) * math.Pow(e.BottomLoss, float64(bot))
 		if surf%2 == 1 {

@@ -1,7 +1,8 @@
-// Package depth models the depth sensing of §3.1: hydrostatic
-// pressure-to-depth conversion for phone barometers in waterproof pouches,
-// and the dedicated dive-gauge of the smartwatch, with the error
-// statistics measured in the paper (watch 0.15±0.11 m, phone 0.42±0.18 m).
+// Package depth models the depth sensing of §3.1: phone barometers in
+// waterproof pouches (depth from hydrostatic pressure, h = (P − P₀)/(ρg))
+// and the dedicated dive-gauge of the smartwatch, as readings of the true
+// depth with the error statistics measured in the paper (watch
+// 0.15±0.11 m, phone 0.42±0.18 m).
 package depth
 
 import (
@@ -9,23 +10,6 @@ import (
 	"math"
 	"math/rand"
 )
-
-// Physical constants from the paper's conversion h = (P − P₀)/(ρg).
-const (
-	WaterDensity  = 997.0    // ρ, kg/m³ (fresh water)
-	Gravity       = 9.81     // g, m/s²
-	SeaLevelPaRef = 101325.0 // P₀, atmospheric pressure at sea level (Pa)
-)
-
-// PressureToDepth converts absolute pressure (Pa) to depth (m).
-func PressureToDepth(pa float64) float64 {
-	return (pa - SeaLevelPaRef) / (WaterDensity * Gravity)
-}
-
-// DepthToPressure is the inverse of PressureToDepth.
-func DepthToPressure(depthM float64) float64 {
-	return SeaLevelPaRef + depthM*WaterDensity*Gravity
-}
 
 // Sensor simulates a depth sensor with bias and noise, reproducing the
 // Fig. 13b error statistics.

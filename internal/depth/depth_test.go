@@ -6,22 +6,6 @@ import (
 	"testing"
 )
 
-func TestPressureDepthRoundTrip(t *testing.T) {
-	for _, d := range []float64{0, 1, 5.5, 9, 40} {
-		p := DepthToPressure(d)
-		if got := PressureToDepth(p); math.Abs(got-d) > 1e-9 {
-			t.Errorf("roundtrip %g -> %g", d, got)
-		}
-	}
-	// 1 m of water is ~9.78 kPa above atmospheric.
-	if p := DepthToPressure(1) - SeaLevelPaRef; math.Abs(p-9780.57) > 1 {
-		t.Errorf("1 m overpressure %g Pa", p)
-	}
-	if PressureToDepth(SeaLevelPaRef) != 0 {
-		t.Error("surface should be depth 0")
-	}
-}
-
 func TestSensorErrorStatistics(t *testing.T) {
 	// Reproduce the Fig. 13b protocol: 0–9 m in 1 m steps, repeated
 	// across devices, mean absolute error within the paper's bands.

@@ -11,10 +11,14 @@ import "sync/atomic"
 // receiver scans the same audio for the ranging preamble, the calibration
 // chirp and the baseline sweeps for roughly half the transform work.
 //
+// Every bank scan is window-energy normalized (outputs in [-1, 1]): the
+// receiver thresholds correlation peaks against a level independent of
+// the received amplitude.
+//
 // A bank is immutable after construction and safe for concurrent use:
-// the one-shot scans only read the member matchers' cached spectra (each
+// the one-shot scan only reads the member matchers' cached spectra (each
 // guarded inside Matcher), and every streaming session created by Stream
-// or StreamNormalized owns its state exclusively.
+// owns its state exclusively.
 type MatcherBank struct {
 	ms     []*Matcher
 	maxLen int // longest template, samples
@@ -91,20 +95,12 @@ func (b *MatcherBank) Len() int { return len(b.ms) }
 // Matcher returns the i-th member matcher.
 func (b *MatcherBank) Matcher(i int) *Matcher { return b.ms[i] }
 
-// CrossCorrelateAll computes the valid-lag cross-correlation of every
-// template against x in one pass. out[i] has len(x)-len(template_i)+1
-// lags, or is nil when x is shorter than that template.
-func (b *MatcherBank) CrossCorrelateAll(x []float64) [][]float64 {
-	return b.correlateAll(x, false, false)
-}
-
-// NormalizedCrossCorrelateAllPooled is NormalizedCrossCorrelateAll with
-// pooled results; release each non-nil row with PutF64.
+// NormalizedCrossCorrelateAllPooled computes the normalized valid-lag
+// cross-correlation of every template against x in one pass. out[i] has
+// len(x)-len(template_i)+1 lags, or is nil when x is shorter than that
+// template. Rows come from the scratch pool; release each non-nil row
+// with PutF64.
 func (b *MatcherBank) NormalizedCrossCorrelateAllPooled(x []float64) [][]float64 {
-	return b.correlateAll(x, true, true)
-}
-
-func (b *MatcherBank) correlateAll(x []float64, normalized, pooled bool) [][]float64 {
 	outs := make([][]float64, len(b.ms))
 	maxOut := 0
 	for i, mt := range b.ms {
@@ -112,7 +108,7 @@ func (b *MatcherBank) correlateAll(x []float64, normalized, pooled bool) [][]flo
 		if n <= 0 {
 			continue // outs[i] stays nil, matching the one-shot contract
 		}
-		outs[i] = allocResult(n, pooled)
+		outs[i] = GetF64(n)
 		if n > maxOut {
 			maxOut = n
 		}
@@ -153,28 +149,34 @@ func (b *MatcherBank) correlateAll(x []float64, normalized, pooled bool) [][]flo
 			interleaveScaled(seg, zre, zim, hm)
 		}
 	}
-	if normalized {
-		prefix := GetF64(len(x) + 1)
-		defer PutF64(prefix)
-		energyPrefix(prefix, x)
-		for i, out := range outs {
-			if out == nil {
-				continue
-			}
-			normalizeWithPrefix(out, prefix, b.ms[i].TemplateLen(), b.ms[i].energy)
+	prefix := GetF64(len(x) + 1)
+	defer PutF64(prefix)
+	energyPrefix(prefix, x)
+	for i, out := range outs {
+		if out == nil {
+			continue
 		}
+		normalizeWithPrefix(out, prefix, b.ms[i].TemplateLen(), b.ms[i].energy)
 	}
 	return outs
 }
 
 // Stream opens an incremental scanning session over the bank: feed the
-// stream chunk by chunk and collect each template's correlation lags as
-// they become computable.
-func (b *MatcherBank) Stream() *BankStream { return newBankStream(b, false) }
-
-// StreamNormalized is Stream with window-energy normalization (outputs in
-// [-1, 1], matching NormalizedCrossCorrelateAll).
-func (b *MatcherBank) StreamNormalized() *BankStream { return newBankStream(b, true) }
+// stream chunk by chunk and collect each template's normalized
+// correlation lags as they become computable.
+func (b *MatcherBank) Stream() *BankStream {
+	return &BankStream{
+		bank: b,
+		buf:  GetF64(b.block),
+		work: getF64Raw(b.block),
+		fxre: getF64Raw(b.block / 2),
+		fxim: getF64Raw(b.block / 2),
+		zre:  getF64Raw(b.block / 2),
+		zim:  getF64Raw(b.block / 2),
+		emit: make([][]float64, len(b.ms)),
+		pre:  GetF64(b.block + 1),
+	}
+}
 
 // BankStream is an in-progress overlap-save scan of one stream against
 // every template of a MatcherBank. Chunks of any length go in via Feed;
@@ -182,7 +184,8 @@ func (b *MatcherBank) StreamNormalized() *BankStream { return newBankStream(b, t
 // sit on a fixed absolute grid (multiples of the bank hop from stream
 // start), the emitted lags are bit-for-bit identical for every chunk
 // partition of the same stream — including the whole stream in one Feed,
-// which is exactly what the bank's one-shot CrossCorrelateAll computes.
+// which is exactly what the bank's one-shot
+// NormalizedCrossCorrelateAllPooled computes.
 //
 // State is O(block length): the session carries only the inter-block
 // overlap, a rolling energy-prefix window, and per-template emission
@@ -190,14 +193,13 @@ func (b *MatcherBank) StreamNormalized() *BankStream { return newBankStream(b, t
 // open one session per goroutine (sessions of one bank share the cached
 // template spectra read-only, so concurrent sessions are safe).
 type BankStream struct {
-	bank       *MatcherBank
-	normalized bool
+	bank *MatcherBank
 
 	// buf holds stream samples from the current block start (a multiple
-	// of hop); pre, when normalizing, holds the energy prefix sums
-	// aligned with buf: pre[i] = Σ x[j]² for j < start+i, accumulated
-	// with Neumaier compensation (preSum/preComp carry the running state
-	// across chunks) so arbitrarily long sessions don't drift.
+	// of hop); pre holds the energy prefix sums aligned with buf:
+	// pre[i] = Σ x[j]² for j < start+i, accumulated with Neumaier
+	// compensation (preSum/preComp carry the running state across chunks)
+	// so arbitrarily long sessions don't drift.
 	buf             []float64
 	pre             []float64
 	preSum, preComp float64
@@ -214,24 +216,6 @@ type BankStream struct {
 	flushed bool
 }
 
-func newBankStream(b *MatcherBank, normalized bool) *BankStream {
-	s := &BankStream{
-		bank:       b,
-		normalized: normalized,
-		buf:        GetF64(b.block),
-		work:       getF64Raw(b.block),
-		fxre:       getF64Raw(b.block / 2),
-		fxim:       getF64Raw(b.block / 2),
-		zre:        getF64Raw(b.block / 2),
-		zim:        getF64Raw(b.block / 2),
-		emit:       make([][]float64, len(b.ms)),
-	}
-	if normalized {
-		s.pre = GetF64(b.block + 1)
-	}
-	return s
-}
-
 // Feed consumes one chunk and returns, per template, the correlation lags
 // that became computable. Rows alias session-owned buffers: they are
 // valid until the next Feed or Flush call and must be copied to persist.
@@ -243,14 +227,12 @@ func (s *BankStream) Feed(chunk []float64) [][]float64 {
 	}
 	s.grow(len(chunk))
 	copy(s.buf[s.bufLen:], chunk)
-	if s.normalized {
-		sum, comp := s.preSum, s.preComp
-		for i, v := range chunk {
-			sum, comp = neumaierAdd(sum, comp, v*v)
-			s.pre[s.bufLen+1+i] = sum + comp
-		}
-		s.preSum, s.preComp = sum, comp
+	sum, comp := s.preSum, s.preComp
+	for i, v := range chunk {
+		sum, comp = neumaierAdd(sum, comp, v*v)
+		s.pre[s.bufLen+1+i] = sum + comp
 	}
+	s.preSum, s.preComp = sum, comp
 	s.bufLen += len(chunk)
 	s.fed += len(chunk)
 	for i := range s.emit {
@@ -259,9 +241,7 @@ func (s *BankStream) Feed(chunk []float64) [][]float64 {
 	for s.bufLen >= s.bank.block {
 		s.runBlock(func(int) int { return s.bank.hop })
 		copy(s.buf, s.buf[s.bank.hop:s.bufLen])
-		if s.normalized {
-			copy(s.pre, s.pre[s.bank.hop:s.bufLen+1])
-		}
+		copy(s.pre, s.pre[s.bank.hop:s.bufLen+1])
 		s.bufLen -= s.bank.hop
 		s.start += s.bank.hop
 	}
@@ -303,9 +283,7 @@ func (s *BankStream) Flush() [][]float64 {
 			adv = s.bufLen
 		}
 		copy(s.buf, s.buf[adv:s.bufLen])
-		if s.normalized {
-			copy(s.pre, s.pre[adv:s.bufLen+1])
-		}
+		copy(s.pre, s.pre[adv:s.bufLen+1])
 		s.bufLen -= adv
 		s.start += s.bank.hop
 	}
@@ -315,9 +293,7 @@ func (s *BankStream) Flush() [][]float64 {
 	PutF64(s.fxim)
 	PutF64(s.zre)
 	PutF64(s.zim)
-	if s.pre != nil {
-		PutF64(s.pre)
-	}
+	PutF64(s.pre)
 	s.buf, s.work, s.pre = nil, nil, nil
 	s.fxre, s.fxim, s.zre, s.zim = nil, nil, nil, nil
 	return s.emit
@@ -343,9 +319,7 @@ func (s *BankStream) runBlock(take func(i int) int) {
 		foldSpecMulTo(s.zre, s.zim, s.fxre, s.fxim, mt.spectrum(s.bank.block), s.bank.block)
 		fftSoA(s.zre, s.zim, true)
 		interleaveScaled(s.work[:t], s.zre, s.zim, hm)
-		if s.normalized {
-			normalizeWithPrefix(s.work[:t], s.pre, mt.TemplateLen(), mt.energy)
-		}
+		normalizeWithPrefix(s.work[:t], s.pre, mt.TemplateLen(), mt.energy)
 		s.emit[i] = append(s.emit[i], s.work[:t]...)
 	}
 }
@@ -357,21 +331,17 @@ func (s *BankStream) runBlock(take func(i int) int) {
 // two buffers in the same class exactly when need+1 crosses a boundary.
 func (s *BankStream) grow(n int) {
 	need := s.bufLen + n
-	if need <= cap(s.buf) && (!s.normalized || need+1 <= cap(s.pre)) {
+	if need <= cap(s.buf) && need+1 <= cap(s.pre) {
 		s.buf = s.buf[:cap(s.buf)]
-		if s.normalized {
-			s.pre = s.pre[:cap(s.pre)]
-		}
+		s.pre = s.pre[:cap(s.pre)]
 		return
 	}
 	nb := GetF64(need)
 	copy(nb, s.buf[:s.bufLen])
 	PutF64(s.buf)
 	s.buf = nb
-	if s.normalized {
-		np := GetF64(need + 1)
-		copy(np, s.pre[:s.bufLen+1])
-		PutF64(s.pre)
-		s.pre = np
-	}
+	np := GetF64(need + 1)
+	copy(np, s.pre[:s.bufLen+1])
+	PutF64(s.pre)
+	s.pre = np
 }

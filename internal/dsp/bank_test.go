@@ -43,7 +43,7 @@ func randomCuts(r *rand.Rand, n int) []int {
 
 // TestMatcherBankMatchesSingleScans checks the shared-forward-FFT batch
 // scan, at both block sizes, against each member matcher's own one-shot
-// correlation.
+// normalized correlation.
 func TestMatcherBankMatchesSingleScans(t *testing.T) {
 	r := rand.New(rand.NewSource(50))
 	for _, lens := range [][]int{
@@ -56,19 +56,13 @@ func TestMatcherBankMatchesSingleScans(t *testing.T) {
 		for _, nx := range []int{12000, 40000} {
 			x := randReal(r, nx)
 			for _, b := range []*MatcherBank{base, NewMatcherBankLowLatency(base.ms...)} {
-				raw := b.CrossCorrelateAll(x)
-				norm := b.correlateAll(x, true, false)
+				norm := b.NormalizedCrossCorrelateAllPooled(x)
 				for i := 0; i < b.Len(); i++ {
-					mt := b.Matcher(i)
-					wantRaw := mt.correlate(x, false, false)
-					wantNorm := mt.correlate(x, true, false)
-					if len(raw[i]) != len(wantRaw) {
-						t.Fatalf("lens=%v nx=%d block=%d t%d: raw length %d vs %d", lens, nx, b.block, i, len(raw[i]), len(wantRaw))
+					wantNorm := b.Matcher(i).correlate(x, true, false)
+					if len(norm[i]) != len(wantNorm) {
+						t.Fatalf("lens=%v nx=%d block=%d t%d: length %d vs %d", lens, nx, b.block, i, len(norm[i]), len(wantNorm))
 					}
-					for k := range wantRaw {
-						if math.Abs(raw[i][k]-wantRaw[k]) > 1e-9*(1+math.Abs(wantRaw[k])) {
-							t.Fatalf("lens=%v nx=%d block=%d t%d: raw lag %d: %g vs %g", lens, nx, b.block, i, k, raw[i][k], wantRaw[k])
-						}
+					for k := range wantNorm {
 						if math.Abs(norm[i][k]-wantNorm[k]) > 1e-9 {
 							t.Fatalf("lens=%v nx=%d block=%d t%d: normalized lag %d: %g vs %g", lens, nx, b.block, i, k, norm[i][k], wantNorm[k])
 						}
@@ -88,41 +82,29 @@ func TestBankStreamMatchesOneShot(t *testing.T) {
 	for _, b := range []*MatcherBank{base, NewMatcherBankLowLatency(base.ms...)} {
 		for _, nx := range []int{500, 5000, 30000} {
 			x := randReal(r, nx)
-			for _, normalized := range []bool{false, true} {
-				var want [][]float64
-				if normalized {
-					want = b.correlateAll(x, true, false)
-				} else {
-					want = b.CrossCorrelateAll(x)
+			want := b.NormalizedCrossCorrelateAllPooled(x)
+			for trial := 0; trial < 8; trial++ {
+				got := make([][]float64, b.Len())
+				s := b.Stream()
+				collect := func(rows [][]float64) {
+					for i, row := range rows {
+						got[i] = append(got[i], row...)
+					}
 				}
-				for trial := 0; trial < 8; trial++ {
-					got := make([][]float64, b.Len())
-					var s *BankStream
-					if normalized {
-						s = b.StreamNormalized()
-					} else {
-						s = b.Stream()
+				prev := 0
+				for _, c := range randomCuts(r, nx) {
+					collect(s.Feed(x[prev:c]))
+					prev = c
+				}
+				collect(s.Feed(x[prev:]))
+				collect(s.Flush())
+				for i := range got {
+					if len(got[i]) != len(want[i]) {
+						t.Fatalf("block=%d nx=%d t%d: length %d vs %d", b.block, nx, i, len(got[i]), len(want[i]))
 					}
-					collect := func(rows [][]float64) {
-						for i, row := range rows {
-							got[i] = append(got[i], row...)
-						}
-					}
-					prev := 0
-					for _, c := range randomCuts(r, nx) {
-						collect(s.Feed(x[prev:c]))
-						prev = c
-					}
-					collect(s.Feed(x[prev:]))
-					collect(s.Flush())
-					for i := range got {
-						if len(got[i]) != len(want[i]) {
-							t.Fatalf("block=%d nx=%d norm=%v t%d: length %d vs %d", b.block, nx, normalized, i, len(got[i]), len(want[i]))
-						}
-						for k := range got[i] {
-							if got[i][k] != want[i][k] {
-								t.Fatalf("block=%d nx=%d norm=%v t%d lag %d: stream %v vs one-shot %v", b.block, nx, normalized, i, k, got[i][k], want[i][k])
-							}
+					for k := range got[i] {
+						if got[i][k] != want[i][k] {
+							t.Fatalf("block=%d nx=%d t%d lag %d: stream %v vs one-shot %v", b.block, nx, i, k, got[i][k], want[i][k])
 						}
 					}
 				}
@@ -150,34 +132,25 @@ func TestBankStreamEquivalence(t *testing.T) {
 		x := randReal(r, tc.nx)
 		mt := NewMatcher(randReal(r, tc.nh))
 		bank := NewMatcherBankLowLatency(mt)
-		wantRaw := mt.correlate(x, false, false)
 		wantNorm := mt.correlate(x, true, false)
-		oneChunkRaw := feedPartition(bank.Stream(), x, nil)
-		oneChunkNorm := feedPartition(bank.StreamNormalized(), x, nil)
-		if len(oneChunkRaw) != len(wantRaw) || len(oneChunkNorm) != len(wantNorm) {
-			t.Fatalf("nx=%d nh=%d: one-chunk lengths %d/%d, want %d", tc.nx, tc.nh, len(oneChunkRaw), len(oneChunkNorm), len(wantRaw))
+		oneChunkNorm := feedPartition(bank.Stream(), x, nil)
+		if len(oneChunkNorm) != len(wantNorm) {
+			t.Fatalf("nx=%d nh=%d: one-chunk length %d, want %d", tc.nx, tc.nh, len(oneChunkNorm), len(wantNorm))
 		}
-		for i := range wantRaw {
-			if math.Abs(wantRaw[i]-oneChunkRaw[i]) > 1e-9*(1+math.Abs(wantRaw[i])) {
-				t.Fatalf("nx=%d nh=%d: one-chunk raw lag %d: %g vs %g", tc.nx, tc.nh, i, oneChunkRaw[i], wantRaw[i])
-			}
+		for i := range wantNorm {
 			if math.Abs(wantNorm[i]-oneChunkNorm[i]) > 1e-9 {
 				t.Fatalf("nx=%d nh=%d: one-chunk normalized lag %d: %g vs %g", tc.nx, tc.nh, i, oneChunkNorm[i], wantNorm[i])
 			}
 		}
 		for trial := 0; trial < 10; trial++ {
 			cuts := randomCuts(r, tc.nx)
-			raw := feedPartition(bank.Stream(), x, cuts)
-			norm := feedPartition(bank.StreamNormalized(), x, cuts)
-			if len(raw) != len(wantRaw) || len(norm) != len(wantNorm) {
-				t.Fatalf("nx=%d nh=%d cuts=%v: lengths %d/%d, want %d", tc.nx, tc.nh, cuts, len(raw), len(norm), len(wantRaw))
+			norm := feedPartition(bank.Stream(), x, cuts)
+			if len(norm) != len(wantNorm) {
+				t.Fatalf("nx=%d nh=%d cuts=%v: length %d, want %d", tc.nx, tc.nh, cuts, len(norm), len(wantNorm))
 			}
-			for i := range raw {
+			for i := range norm {
 				// Chunk-partition invariance is exact: same absolute block
 				// grid, same transforms, bit for bit.
-				if raw[i] != oneChunkRaw[i] {
-					t.Fatalf("nx=%d nh=%d cuts=%v: raw lag %d not bit-identical: %v vs %v", tc.nx, tc.nh, cuts, i, raw[i], oneChunkRaw[i])
-				}
 				if norm[i] != oneChunkNorm[i] {
 					t.Fatalf("nx=%d nh=%d cuts=%v: normalized lag %d not bit-identical: %v vs %v", tc.nx, tc.nh, cuts, i, norm[i], oneChunkNorm[i])
 				}
@@ -190,7 +163,7 @@ func TestMatcherBankShortStream(t *testing.T) {
 	r := rand.New(rand.NewSource(52))
 	b := bankOf(r, 100, 400)
 	x := randReal(r, 200) // long enough for template 0 only
-	outs := b.CrossCorrelateAll(x)
+	outs := b.NormalizedCrossCorrelateAllPooled(x)
 	if len(outs[0]) != 101 {
 		t.Fatalf("template 0 got %d lags, want 101", len(outs[0]))
 	}
@@ -213,7 +186,7 @@ func TestBankStreamSampleBySample(t *testing.T) {
 	x := randReal(r, 1200)
 	mt := NewMatcher(randReal(r, 100))
 	want := mt.correlate(x, true, false)
-	s := NewMatcherBankLowLatency(mt).StreamNormalized()
+	s := NewMatcherBankLowLatency(mt).Stream()
 	var got []float64
 	for i := range x {
 		got = append(got, s.Feed(x[i : i+1])[0]...)
@@ -281,14 +254,14 @@ func TestMatcherBankConcurrentSessions(t *testing.T) {
 	r := rand.New(rand.NewSource(53))
 	b := bankOf(r, 300, 900, 128)
 	x := randReal(r, 20000)
-	want := b.correlateAll(x, true, false)
+	want := b.NormalizedCrossCorrelateAllPooled(x)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			if g%2 == 0 {
-				got := b.correlateAll(x, true, false)
+				got := b.NormalizedCrossCorrelateAllPooled(x)
 				for i := range got {
 					for k := range got[i] {
 						if got[i][k] != want[i][k] {
@@ -299,7 +272,7 @@ func TestMatcherBankConcurrentSessions(t *testing.T) {
 				}
 				return
 			}
-			s := b.StreamNormalized()
+			s := b.Stream()
 			got := make([][]float64, b.Len())
 			for off := 0; off < len(x); off += 1000 + 37*g {
 				end := off + 1000 + 37*g
@@ -343,7 +316,7 @@ func BenchmarkBankStream(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := bank.StreamNormalized()
+		s := bank.Stream()
 		for off := 0; off < len(x); off += 4096 {
 			s.Feed(x[off:min(off+4096, len(x))])
 		}

@@ -128,7 +128,9 @@ func TestConcurrentKernelTableConstruction(t *testing.T) {
 						return
 					}
 				}
-				bank.CrossCorrelateAll(x)
+				for _, row := range bank.NormalizedCrossCorrelateAllPooled(x) {
+					PutF64(row)
+				}
 			}
 		}(int64(g))
 	}

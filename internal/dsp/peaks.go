@@ -132,23 +132,6 @@ func AbsComplex(x []complex128) []float64 {
 	return out
 }
 
-// Energy returns the sum of squares of x.
-func Energy(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += v * v
-	}
-	return s
-}
-
-// RMS returns the root-mean-square of x (0 for empty input).
-func RMS(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	return math.Sqrt(Energy(x) / float64(len(x)))
-}
-
 // DB converts a linear power ratio to decibels (10log10).
 // Non-positive ratios map to -Inf.
 func DB(ratio float64) float64 {

@@ -99,19 +99,6 @@ func TestMaxHelpers(t *testing.T) {
 	}
 }
 
-func TestEnergyRMS(t *testing.T) {
-	x := []float64{3, 4}
-	if Energy(x) != 25 {
-		t.Errorf("Energy = %g", Energy(x))
-	}
-	if math.Abs(RMS(x)-math.Sqrt(12.5)) > 1e-12 {
-		t.Errorf("RMS = %g", RMS(x))
-	}
-	if RMS(nil) != 0 {
-		t.Error("RMS(nil) != 0")
-	}
-}
-
 func TestDBConversions(t *testing.T) {
 	if DB(100) != 20 {
 		t.Errorf("DB(100) = %g", DB(100))

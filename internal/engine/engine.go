@@ -110,11 +110,3 @@ func Run[T any](ctx context.Context, cfg Config, n int, fn func(trial int, rng *
 	wg.Wait()
 	return out, ctx.Err()
 }
-
-// Map is Run minus the error plumbing for callers with no cancellation
-// story: it runs n trials on a background context and returns the results
-// in trial order.
-func Map[T any](cfg Config, n int, fn func(trial int, rng *rand.Rand) T) []T {
-	out, _ := Run(context.Background(), cfg, n, fn)
-	return out
-}

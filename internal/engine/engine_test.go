@@ -100,13 +100,3 @@ func TestRunZeroTrials(t *testing.T) {
 		t.Fatalf("out=%v err=%v", out, err)
 	}
 }
-
-func TestMapMatchesRun(t *testing.T) {
-	a := Map(Config{Seed: 5, Workers: 4}, 64, heavyTrial)
-	b, _ := Run(context.Background(), Config{Seed: 5, Workers: 1}, 64, heavyTrial)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("trial %d: Map %v vs Run %v", i, a[i], b[i])
-		}
-	}
-}

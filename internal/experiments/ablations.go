@@ -61,7 +61,7 @@ func accAblationBandWindow(opt Options, p *Partial, pre string) {
 			if err != nil {
 				continue
 			}
-			res := ranging.SingleMicDirectPath(h, ranging.DirectPathConfig{})
+			res := ranging.SingleMicDirectPath(h)
 			if !res.OK {
 				continue
 			}

@@ -12,7 +12,7 @@ import (
 
 // shardTestIDs are the experiments the merge-identity test exercises: one
 // analytical sweep (many small stages), one sensor study (run-rng sensor
-// construction shared by all shards), one engine.Map-style study, one
+// construction shared by all shards), one engine.Run-style study, one
 // counter-only experiment, and the serial shard-0-only probe study.
 var shardTestIDs = []string{"fig06a", "fig13b", "fig16", "ablation-prefilter", "fig22"}
 

@@ -102,7 +102,7 @@ func Streaming(opt Options) *stats.Table {
 		}
 	})
 	tBankStream := best(func() {
-		s := bank.StreamNormalized()
+		s := bank.Stream()
 		for off := 0; off < total; off += chunk {
 			end := off + chunk
 			if end > total {
@@ -154,7 +154,7 @@ func Streaming(opt Options) *stats.Table {
 			sd.Feed(stream[off:end])
 		}
 		out.dets = len(sd.Flush())
-		calPipe := ingest.New(ingest.Config{Bank: calBank, Normalized: true})
+		calPipe := ingest.New(ingest.Config{Bank: calBank})
 		am := ingest.NewArgMax(0)
 		calPipe.Register(am)
 		feed(calPipe)
@@ -167,7 +167,7 @@ func Streaming(opt Options) *stats.Table {
 	sharedRun := func() receiverOut {
 		var out receiverOut
 		t0 := dsp.BankForwardTransforms()
-		pipe := ingest.New(ingest.Config{Bank: bank, Normalized: true})
+		pipe := ingest.New(ingest.Config{Bank: bank})
 		sd := detNP.Consumer(0)
 		col := ingest.NewCollect(1, total)
 		am := ingest.NewArgMax(2)

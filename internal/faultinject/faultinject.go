@@ -1,10 +1,10 @@
 // Package faultinject is the deterministic chaos engine behind the
 // uwposd robustness suite: a seed-driven decision source that service
-// and ingest code consult at their failure-relevant points (durability
-// writes, round execution, per-buffer deadlines), so tests can make a
-// specific disaster happen on demand — or a reproducible storm of them
-// happen at a seeded rate — without sleeping, without wall-clock
-// dependence and without test-only branches in production code.
+// code consults at its failure-relevant points (durability writes, round
+// execution), so tests can make a specific disaster happen on demand —
+// or a reproducible storm of them happen at a seeded rate — without
+// sleeping, without wall-clock dependence and without test-only branches
+// in production code.
 //
 // Two triggering modes compose:
 //
@@ -43,14 +43,10 @@ const (
 	// operation without committing state, emulating a crash at that
 	// point (CI backs this with a real kill -9).
 	FaultKill
-	// FaultBufferLatency adds synthetic processing time to an ingest
-	// buffer's deadline accounting, forcing budget misses that engage
-	// the backpressure policy.
-	FaultBufferLatency
 	numFaults
 )
 
-var faultNames = [...]string{"write", "round-latency", "drop-anchors", "kill", "buffer-latency"}
+var faultNames = [...]string{"write", "round-latency", "drop-anchors", "kill"}
 
 func (f Fault) String() string {
 	if f < 0 || int(f) >= len(faultNames) {
@@ -66,19 +62,14 @@ type Config struct {
 	// order replay the same faults.
 	Seed int64
 
-	WriteErrorRate    float64
-	RoundLatencyRate  float64
-	DropAnchorsRate   float64
-	KillRate          float64
-	BufferLatencyRate float64
+	WriteErrorRate   float64
+	RoundLatencyRate float64
+	DropAnchorsRate  float64
+	KillRate         float64
 
 	// RoundLatency is the stall per fired FaultRoundLatency
 	// (default 50 ms).
 	RoundLatency time.Duration
-	// BufferLatency is the synthetic processing time added per fired
-	// FaultBufferLatency (default 1 s — far over any real buffer
-	// budget).
-	BufferLatency time.Duration
 }
 
 // Injector decides faults. Safe for concurrent use; decisions are
@@ -98,9 +89,6 @@ type Injector struct {
 func New(cfg Config) *Injector {
 	if cfg.RoundLatency == 0 {
 		cfg.RoundLatency = 50 * time.Millisecond
-	}
-	if cfg.BufferLatency == 0 {
-		cfg.BufferLatency = time.Second
 	}
 	return &Injector{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 }
@@ -184,13 +172,4 @@ func (in *Injector) Kill(point string) bool {
 	}
 	_ = point
 	return in.decide(FaultKill, in.cfg.KillRate)
-}
-
-// BufferLatency returns synthetic processing time to add to one ingest
-// buffer's deadline accounting (zero when no fault fires). Nil-safe.
-func (in *Injector) BufferLatency() time.Duration {
-	if in == nil || !in.decide(FaultBufferLatency, in.cfg.BufferLatencyRate) {
-		return 0
-	}
-	return in.cfg.BufferLatency
 }

@@ -20,9 +20,6 @@ func TestNilInjectorInert(t *testing.T) {
 	if in.Kill("commit") {
 		t.Error("nil injector killed")
 	}
-	if in.BufferLatency() != 0 {
-		t.Error("nil injector produced buffer latency")
-	}
 	if in.Fired(FaultWrite) != 0 {
 		t.Error("nil injector counted fires")
 	}
@@ -64,10 +61,6 @@ func TestArmedOneShots(t *testing.T) {
 	in.Arm(FaultRoundLatency, 1)
 	if in.RoundLatency() != 50*time.Millisecond {
 		t.Fatal("default round latency wrong")
-	}
-	in.Arm(FaultBufferLatency, 1)
-	if in.BufferLatency() != time.Second {
-		t.Fatal("default buffer latency wrong")
 	}
 }
 
@@ -131,7 +124,7 @@ func TestPerClassCounters(t *testing.T) {
 }
 
 func TestFaultString(t *testing.T) {
-	if FaultWrite.String() != "write" || FaultBufferLatency.String() != "buffer-latency" {
+	if FaultWrite.String() != "write" || FaultKill.String() != "kill" {
 		t.Fatal("fault names wrong")
 	}
 	if Fault(99).String() != "fault(99)" {

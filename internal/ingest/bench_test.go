@@ -12,7 +12,7 @@ import (
 // and returns it with a 4096-sample noise buffer.
 func benchPipeline(consumers int) (*ingest.Pipeline, []float64) {
 	bank := testBank(44100)
-	pipe := ingest.New(ingest.Config{Bank: bank, Normalized: true})
+	pipe := ingest.New(ingest.Config{Bank: bank})
 	for i := 0; i < consumers; i++ {
 		pipe.Register(ingest.NewArgMax(i % bank.Len()))
 	}
@@ -40,7 +40,6 @@ func BenchmarkIngestPushMetered(b *testing.B) {
 	bank := testBank(44100)
 	pipe := ingest.New(ingest.Config{
 		Bank:       bank,
-		Normalized: true,
 		SampleRate: 44100,
 		Meter:      ingest.NewMeter(1.0),
 	})
@@ -61,9 +60,8 @@ func BenchmarkIngestPushMetered(b *testing.B) {
 func BenchmarkIngestPushPrefiltered(b *testing.B) {
 	bank := testBank(44100)
 	pipe := ingest.New(ingest.Config{
-		Bank:       bank,
-		Normalized: true,
-		Prefilter:  sig.BandLimitFIR(1000, 5000, 44100),
+		Bank:      bank,
+		Prefilter: sig.BandLimitFIR(1000, 5000, 44100),
 	})
 	pipe.Register(ingest.NewArgMax(0))
 	chunk := noiseStream(4096, 17)

@@ -47,7 +47,7 @@ func FuzzIngestPipeline(f *testing.F) {
 		// Consumer-set size also comes from the input; the transform count
 		// must not change with it.
 		ncons := 1 + int(header[2])%3
-		pipe := ingest.New(ingest.Config{Bank: bank, Normalized: true})
+		pipe := ingest.New(ingest.Config{Bank: bank})
 		cols := make([]*ingest.Collect, bank.Len())
 		for i := range cols {
 			cols[i] = ingest.NewCollect(i, 0)
@@ -94,7 +94,7 @@ func FuzzIngestPipeline(f *testing.F) {
 		}
 		// One forward transform per block, independent of the consumer set:
 		// re-run with a single consumer and compare.
-		solo := ingest.New(ingest.Config{Bank: bank, Normalized: true})
+		solo := ingest.New(ingest.Config{Bank: bank})
 		solo.Register(ingest.NewArgMax(0))
 		before = dsp.BankForwardTransforms()
 		solo.Push(x)

@@ -47,13 +47,11 @@ func NewMeter(budgetRTF float64) *Meter {
 }
 
 // observe records one buffer: n samples of audioSec seconds, whose
-// processing started at t0. It returns the buffer's budget verdict —
-// true when the buffer missed its deadline — which is the signal the
-// backpressure policy runs on. Empty buffers tick no accounting (their
-// RTF is undefined) and never miss.
-func (m *Meter) observe(n int, audioSec float64, t0 time.Time) bool {
+// processing started at t0, counting a miss when its RTF is over budget.
+// Empty buffers tick no accounting (their RTF is undefined).
+func (m *Meter) observe(n int, audioSec float64, t0 time.Time) {
 	if n <= 0 {
-		return false
+		return
 	}
 	dt := m.now().Sub(t0).Seconds()
 	rtf := dt / audioSec
@@ -61,15 +59,13 @@ func (m *Meter) observe(n int, audioSec float64, t0 time.Time) bool {
 	if rtf > m.maxRTF {
 		m.maxRTF = rtf
 	}
-	miss := rtf > m.budgetRTF
-	if miss {
+	if rtf > m.budgetRTF {
 		m.misses++
 	}
 	m.buffers++
 	m.samples += n
 	m.audioSec += audioSec
 	m.procSec += dt
-	return miss
 }
 
 // DeadlineReport summarizes a meter: totals, the budget, per-buffer RTF

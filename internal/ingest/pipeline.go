@@ -3,16 +3,17 @@
 // the shape in which OpenSL ES hands a phone its microphone stream — runs
 // the optional band-pass prefilter and exactly one shared dsp.BankStream
 // forward transform per correlation block, and fans the per-template
-// correlation lags out to every registered Consumer. Message detection,
-// calibration argmax and the BeepBeep/CAT baselines all ride the same
-// scan instead of each paying for its own pass over the stream.
+// normalized correlation lags out to every registered Consumer. Message
+// detection, calibration argmax and the BeepBeep/CAT baselines all ride
+// the same scan instead of each paying for its own pass over the stream.
 //
-// The pipeline carries deadline accounting throughout: an optional Meter
-// measures each buffer's processing time against the buffer's real-time
-// budget (audio duration × a configurable real-time-factor ceiling) and
-// aggregates per-buffer headroom into streaming percentiles. With a nil
-// Meter no clocks are read at all, so simulation hot paths stay free of
-// timing syscalls and remain byte-deterministic.
+// An optional Meter measures each buffer's processing time against the
+// buffer's real-time budget (audio duration × a configurable
+// real-time-factor ceiling) and aggregates per-buffer headroom into
+// streaming percentiles. Metering only observes: every buffer is
+// processed whatever the verdict. With a nil Meter no clocks are read at
+// all, so simulation hot paths stay free of timing syscalls and remain
+// byte-deterministic.
 //
 // Steady state is allocation-free: the bank session reuses its emission
 // buffers, the prefilter scratch is sized once, and the provided
@@ -24,16 +25,14 @@ import (
 	"time"
 
 	"uwpos/internal/dsp"
-	"uwpos/internal/faultinject"
 )
 
 // Config assembles a Pipeline.
 type Config struct {
-	// Bank is the template bank driving the shared scan. Required.
-	Bank *dsp.MatcherBank
-	// Normalized selects window-energy normalized correlation (values in
+	// Bank is the template bank driving the shared scan. Required. The
+	// scan emits window-energy normalized correlation (values in
 	// [-1, 1]), matching MatcherBank.NormalizedCrossCorrelateAllPooled.
-	Normalized bool
+	Bank *dsp.MatcherBank
 	// SampleRate (Hz) converts buffer lengths to audio durations for the
 	// deadline budget. Required when Meter is set; otherwise unused.
 	SampleRate float64
@@ -47,16 +46,6 @@ type Config struct {
 	// A single Meter may be shared by many pipelines (sequentially) to
 	// aggregate a whole round's ingest headroom.
 	Meter *Meter
-	// Policy enables backpressure driven by the Meter's budget verdicts:
-	// consecutive deadline misses engage shedding (drop to silence,
-	// bounded queueing, or a degraded flag — see PolicyMode). Requires a
-	// Meter; the zero value disables it.
-	Policy Policy
-	// Injector threads deterministic fault injection into the deadline
-	// accounting: injected buffer latency is added to the measured
-	// processing time, forcing budget misses on a scripted or seeded
-	// schedule without sleeping. Nil is inert.
-	Injector *faultinject.Injector
 }
 
 // Pipeline is one in-progress shared scan over one audio stream. Buffers
@@ -81,12 +70,6 @@ type Pipeline struct {
 	fbuf    []float64 // filter scratch: tail ++ chunk
 	fout    []float64 // filtered-output scratch
 
-	// pol is the backpressure state machine; nil when Config.Policy is
-	// PolicyNone. zeroScratch feeds owed silence through the normal path
-	// at recovery without allocating per flush.
-	pol         *policyState
-	zeroScratch []float64
-
 	closed bool
 }
 
@@ -99,18 +82,7 @@ func New(cfg Config) *Pipeline {
 	if cfg.Meter != nil && cfg.SampleRate <= 0 {
 		panic("ingest: Config.Meter needs a positive SampleRate")
 	}
-	if cfg.Policy.Mode != PolicyNone && cfg.Meter == nil {
-		panic("ingest: Config.Policy needs a Meter (misses are its signal)")
-	}
-	p := &Pipeline{cfg: cfg}
-	if cfg.Policy.Mode != PolicyNone {
-		p.pol = newPolicyState(cfg.Policy)
-	}
-	if cfg.Normalized {
-		p.bs = cfg.Bank.StreamNormalized()
-	} else {
-		p.bs = cfg.Bank.Stream()
-	}
+	p := &Pipeline{cfg: cfg, bs: cfg.Bank.Stream()}
 	if len(cfg.Prefilter) > 0 {
 		p.fir = cfg.Prefilter
 		p.delay = (len(p.fir) - 1) / 2
@@ -137,16 +109,6 @@ func (p *Pipeline) Push(buf []float64) {
 	if p.closed {
 		panic("ingest: Pipeline.Push after Close")
 	}
-	// An engaged drop/queue policy withholds the buffer from processing:
-	// capture-time cost is bookkeeping only, and the shed window replays
-	// (as data or silence) in one batch at recovery.
-	if p.pol != nil && p.pol.shedsCapture() {
-		if p.pol.absorb(buf) {
-			p.flushShed()
-			p.pol.disengage()
-		}
-		return
-	}
 	m := p.cfg.Meter
 	var t0 time.Time
 	if m != nil {
@@ -158,19 +120,7 @@ func (p *Pipeline) Push(buf []float64) {
 	}
 	p.deliver(filt)
 	if m != nil {
-		// Injected latency backdates the start: the meter sees a slow
-		// buffer without anyone sleeping, so fault-driven backpressure
-		// tests stay deterministic and fast.
-		if d := p.cfg.Injector.BufferLatency(); d > 0 {
-			t0 = t0.Add(-d)
-		}
-		miss := m.observe(len(buf), float64(len(buf))/p.cfg.SampleRate, t0)
-		if p.pol != nil && len(buf) > 0 {
-			if p.pol.engaged && p.cfg.Policy.Mode == PolicyDegrade {
-				p.pol.rep.DegradedBuffers++
-			}
-			p.pol.observeVerdict(miss)
-		}
+		m.observe(len(buf), float64(len(buf))/p.cfg.SampleRate, t0)
 	}
 }
 
@@ -180,12 +130,6 @@ func (p *Pipeline) Push(buf []float64) {
 func (p *Pipeline) Close() {
 	if p.closed {
 		return
-	}
-	// A shed window still pending at end of stream replays now: data
-	// loss never exceeds what the policy decided at capture time.
-	if p.pol != nil {
-		p.flushShed()
-		p.pol.disengage()
 	}
 	if p.fir != nil {
 		// BandLimit zero-fills the last delay samples (the causal filter
@@ -200,34 +144,6 @@ func (p *Pipeline) Close() {
 		c.Finish()
 	}
 	p.fbuf, p.fout, p.tail = nil, nil, nil
-}
-
-// flushShed replays the current shed window in capture order: absorbed
-// raw buffers first (PolicyQueue), then the silence owed for dropped
-// samples — both through the normal prefilter + scan path, so the
-// sample grid and every downstream lag index stay exact.
-func (p *Pipeline) flushShed() {
-	queued, zeros := p.pol.drain()
-	for _, q := range queued {
-		filt := q
-		if p.fir != nil {
-			filt = p.filter(q)
-		}
-		p.deliver(filt)
-	}
-	p.pol.recycle(queued)
-	if zeros > 0 && p.zeroScratch == nil {
-		p.zeroScratch = make([]float64, 4096)
-	}
-	for zeros > 0 {
-		n := min(zeros, len(p.zeroScratch))
-		filt := p.zeroScratch[:n]
-		if p.fir != nil {
-			filt = p.filter(p.zeroScratch[:n])
-		}
-		p.deliver(filt)
-		zeros -= n
-	}
 }
 
 // deliver hands one filtered buffer to the chunk consumers, advances the

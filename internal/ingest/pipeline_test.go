@@ -58,8 +58,7 @@ func randomCuts(rng *rand.Rand, n, k int) []int {
 }
 
 // TestPipelineMatchesOneShot: for any buffer partition, every template's
-// collected correlation is bit-identical to the one-shot bank scan, in
-// both plain and normalized modes.
+// collected correlation is bit-identical to the one-shot bank scan.
 func TestPipelineMatchesOneShot(t *testing.T) {
 	const fs = 44100.0
 	bank := testBank(fs)
@@ -67,32 +66,23 @@ func TestPipelineMatchesOneShot(t *testing.T) {
 	copy(stream[4000:], bank.Matcher(0).Template())
 	copy(stream[12000:], bank.Matcher(1).Template())
 	rng := rand.New(rand.NewSource(7))
-	for _, normalized := range []bool{false, true} {
-		var want [][]float64
-		if normalized {
-			want = bank.NormalizedCrossCorrelateAllPooled(stream)
-		} else {
-			want = bank.CrossCorrelateAll(stream)
+	want := bank.NormalizedCrossCorrelateAllPooled(stream)
+	for trial := 0; trial < 8; trial++ {
+		pipe := ingest.New(ingest.Config{Bank: bank})
+		cols := make([]*ingest.Collect, bank.Len())
+		for i := range cols {
+			cols[i] = ingest.NewCollect(i, 0)
+			pipe.Register(cols[i])
 		}
-		for trial := 0; trial < 8; trial++ {
-			pipe := ingest.New(ingest.Config{Bank: bank, Normalized: normalized})
-			cols := make([]*ingest.Collect, bank.Len())
-			for i := range cols {
-				cols[i] = ingest.NewCollect(i, 0)
-				pipe.Register(cols[i])
+		feedPartition(pipe, stream, randomCuts(rng, len(stream), 1+rng.Intn(20)))
+		for i, col := range cols {
+			got := col.Corr()
+			if len(got) != len(want[i]) {
+				t.Fatalf("trial %d template %d: %d lags, want %d", trial, i, len(got), len(want[i]))
 			}
-			feedPartition(pipe, stream, randomCuts(rng, len(stream), 1+rng.Intn(20)))
-			for i, col := range cols {
-				got := col.Corr()
-				if len(got) != len(want[i]) {
-					t.Fatalf("normalized=%v trial %d template %d: %d lags, want %d",
-						normalized, trial, i, len(got), len(want[i]))
-				}
-				for j := range got {
-					if got[j] != want[i][j] && !(math.IsNaN(got[j]) && math.IsNaN(want[i][j])) {
-						t.Fatalf("normalized=%v trial %d template %d lag %d: %g != %g",
-							normalized, trial, i, j, got[j], want[i][j])
-					}
+			for j := range got {
+				if got[j] != want[i][j] && !(math.IsNaN(got[j]) && math.IsNaN(want[i][j])) {
+					t.Fatalf("trial %d template %d lag %d: %g != %g", trial, i, j, got[j], want[i][j])
 				}
 			}
 		}
@@ -113,9 +103,8 @@ func TestPipelinePrefilterMatchesBandLimit(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 6; trial++ {
 		pipe := ingest.New(ingest.Config{
-			Bank:       bank,
-			Normalized: true,
-			Prefilter:  sig.BandLimitFIR(lo, hi, fs),
+			Bank:      bank,
+			Prefilter: sig.BandLimitFIR(lo, hi, fs),
 		})
 		col := ingest.NewCollect(0, 0)
 		tap := &chunkTap{}
@@ -158,7 +147,7 @@ func TestPipelineSharedScanCount(t *testing.T) {
 	stream := noiseStream(40000, 5)
 
 	countScan := func(consumers int) uint64 {
-		pipe := ingest.New(ingest.Config{Bank: bank, Normalized: true})
+		pipe := ingest.New(ingest.Config{Bank: bank})
 		for i := 0; i < consumers; i++ {
 			pipe.Register(ingest.NewArgMax(i % bank.Len()))
 		}
@@ -204,7 +193,6 @@ func TestPipelineSteadyStateAllocs(t *testing.T) {
 	const chunks = 256
 	pipe := ingest.New(ingest.Config{
 		Bank:       bank,
-		Normalized: true,
 		SampleRate: fs,
 		Prefilter:  sig.BandLimitFIR(1000, 5000, fs),
 		Meter:      ingest.NewMeter(1.0),

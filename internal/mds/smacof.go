@@ -14,14 +14,10 @@ import (
 
 // Options tunes the solver.
 type Options struct {
-	MaxIter int     // majorization iterations (default 200)
-	Eps     float64 // relative stress-improvement stopping threshold (default 1e-9)
+	MaxIter int // majorization iterations (default 200)
 	// Rng drives the random initialization fallback; if nil a fixed-seed
 	// source is used so results are reproducible.
 	Rng *rand.Rand
-	// InitConfig optionally seeds the iteration with given coordinates
-	// (overrides classical-MDS initialization).
-	InitConfig []geom.Vec2
 	// Restarts adds this many extra runs from random initializations and
 	// keeps the lowest-stress result; SMACOF is a local method and small
 	// dive-group problems occasionally have deceptive minima. Default 2.
@@ -29,12 +25,14 @@ type Options struct {
 	Restarts int
 }
 
+// stressEps is the relative stress-improvement stopping threshold: the
+// iteration stops once a Guttman step lowers stress by no more than this
+// fraction.
+const stressEps = 1e-9
+
 func (o *Options) defaults() {
 	if o.MaxIter == 0 {
 		o.MaxIter = 200
-	}
-	if o.Eps == 0 {
-		o.Eps = 1e-9
 	}
 	if o.Rng == nil {
 		o.Rng = rand.New(rand.NewSource(1))
@@ -154,7 +152,7 @@ func solveFrom(dist, w [][]float64, x []geom.Vec2, vInv *matrix.Mat, opts Option
 		res.Positions = x
 		res.Stress = newStress
 		res.Iterations = iter
-		if stress-newStress <= opts.Eps*math.Max(stress, 1e-300) {
+		if stress-newStress <= stressEps*math.Max(stress, 1e-300) {
 			res.Converged = true
 			break
 		}
@@ -253,15 +251,10 @@ func stressOf(dist, w [][]float64, x []geom.Vec2) float64 {
 	return s
 }
 
-// initialConfig seeds the iteration: explicit InitConfig if given, else
-// classical MDS on the geodesic-completed distance matrix, else random.
+// initialConfig seeds the iteration: classical MDS on the
+// geodesic-completed distance matrix, else random.
 func initialConfig(dist, w [][]float64, opts Options) []geom.Vec2 {
 	n := len(dist)
-	if opts.InitConfig != nil {
-		out := make([]geom.Vec2, n)
-		copy(out, opts.InitConfig)
-		return out
-	}
 	full := completeByGeodesics(dist, w)
 	if full != nil {
 		if x := classicalMDS(full); x != nil {

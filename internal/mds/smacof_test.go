@@ -297,19 +297,6 @@ func TestSolveDisconnectedFallsBackToRandomInit(t *testing.T) {
 	}
 }
 
-func TestInitConfigIsUsed(t *testing.T) {
-	pts := []geom.Vec2{{X: 0, Y: 0}, {X: 10, Y: 0}, {X: 3, Y: 8}}
-	d := distMatrix(pts)
-	// Seed at the exact answer: zero iterations of change expected.
-	res, err := Solve(d, onesWeights(3), Options{InitConfig: pts, MaxIter: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.NormStress > 1e-9 {
-		t.Errorf("exact init should stay exact, stress %g", res.NormStress)
-	}
-}
-
 func TestNormalizedStressHelpers(t *testing.T) {
 	pts := []geom.Vec2{{X: 0, Y: 0}, {X: 4, Y: 0}, {X: 0, Y: 3}}
 	d := distMatrix(pts)

@@ -26,14 +26,9 @@ type DetectorConfig struct {
 	// considered as candidates (default 0.15 — deliberately permissive;
 	// validation does the real work).
 	CandidateThreshold float64
-	// AutoCorrThreshold is the PN auto-correlation acceptance level
-	// (paper: 0.35).
-	AutoCorrThreshold float64
 	// MinSeparation suppresses duplicate detections closer than this many
 	// samples (default: half a preamble).
 	MinSeparation int
-	// MaxCandidates bounds work per stream (default 64).
-	MaxCandidates int
 	// DisablePrefilter skips the 1–5 kHz band-pass applied before
 	// correlation and validation. The prefilter discards out-of-band
 	// noise — roughly a 10 dB effective SNR gain against white ambient
@@ -41,18 +36,21 @@ type DetectorConfig struct {
 	DisablePrefilter bool
 }
 
+const (
+	// autoCorrThreshold is the PN auto-correlation acceptance level
+	// (paper: 0.35).
+	autoCorrThreshold = 0.35
+	// maxCandidates bounds the PN validations per stream: only the
+	// strongest candidates are scored and selectable.
+	maxCandidates = 64
+)
+
 func (c *DetectorConfig) defaults(p sig.Params) {
 	if c.CandidateThreshold == 0 {
 		c.CandidateThreshold = 0.15
 	}
-	if c.AutoCorrThreshold == 0 {
-		c.AutoCorrThreshold = 0.35
-	}
 	if c.MinSeparation == 0 {
 		c.MinSeparation = p.PreambleLen() / 2
-	}
-	if c.MaxCandidates == 0 {
-		c.MaxCandidates = 64
 	}
 }
 

@@ -8,31 +8,22 @@ import (
 
 // DirectPathConfig tunes the joint dual-microphone direct-path search.
 type DirectPathConfig struct {
-	// Lambda is the conservative margin above the noise floor (paper: 0.2
-	// on profiles normalized to peak 1).
-	Lambda float64
 	// MaxMicOffset is the physical constraint |n−m| ≤ d·fs/c in samples.
 	MaxMicOffset int
-	// NoiseTailTaps is how many trailing taps estimate the noise floor
-	// (paper: 100).
-	NoiseTailTaps int
-	// SearchWindow caps how deep into the profile to search (taps).
-	// Defaults to half the profile.
-	SearchWindow int
 }
 
-func (c *DirectPathConfig) defaults(profileLen int) {
-	if c.Lambda == 0 {
-		c.Lambda = 0.2
-	}
+const (
+	// lambda is the conservative margin above the noise floor (paper: 0.2
+	// on profiles normalized to peak 1).
+	lambda = 0.2
+	// noiseTailTaps is how many trailing taps estimate the noise floor
+	// (paper: 100).
+	noiseTailTaps = 100
+)
+
+func (c *DirectPathConfig) defaults() {
 	if c.MaxMicOffset == 0 {
 		c.MaxMicOffset = 5 // ceil(0.16 m · 44100 / 1500) ≈ 4.7
-	}
-	if c.NoiseTailTaps == 0 {
-		c.NoiseTailTaps = 100
-	}
-	if c.SearchWindow == 0 || c.SearchWindow > profileLen {
-		c.SearchWindow = profileLen / 2
 	}
 }
 
@@ -51,18 +42,20 @@ type DirectPathResult struct {
 //
 // where w₁, w₂ are per-profile noise floors from the trailing taps. The
 // earliest *mutually consistent* peaks win, which rejects spurious early
-// bumps that appear on only one microphone (Fig. 7's "wrong peak").
+// bumps that appear on only one microphone (Fig. 7's "wrong peak"). Both
+// profiles are searched over the first half of h₁.
 func JointDirectPath(h1, h2 []float64, cfg DirectPathConfig) DirectPathResult {
 	if len(h1) == 0 || len(h2) == 0 {
 		return DirectPathResult{}
 	}
-	cfg.defaults(len(h1))
-	w1 := dsp.NoiseFloor(h1, cfg.NoiseTailTaps)
-	w2 := dsp.NoiseFloor(h2, cfg.NoiseTailTaps)
-	t1 := w1 + cfg.Lambda
-	t2 := w2 + cfg.Lambda
-	peaks1 := earlyPeaks(h1, t1, cfg.SearchWindow)
-	peaks2 := earlyPeaks(h2, t2, cfg.SearchWindow)
+	cfg.defaults()
+	window := len(h1) / 2
+	w1 := dsp.NoiseFloor(h1, noiseTailTaps)
+	w2 := dsp.NoiseFloor(h2, noiseTailTaps)
+	t1 := w1 + lambda
+	t2 := w2 + lambda
+	peaks1 := earlyPeaks(h1, t1, window)
+	peaks2 := earlyPeaks(h2, t2, window)
 	best := DirectPathResult{TauTaps: math.Inf(1)}
 	for _, n := range peaks1 {
 		for _, m := range peaks2 {
@@ -82,14 +75,14 @@ func JointDirectPath(h1, h2 []float64, cfg DirectPathConfig) DirectPathResult {
 }
 
 // SingleMicDirectPath is the single-microphone ablation (Fig. 11b): the
-// earliest peak above the noise floor plus lambda.
-func SingleMicDirectPath(h []float64, cfg DirectPathConfig) DirectPathResult {
+// earliest peak above the noise floor plus lambda, in the first half of
+// the profile.
+func SingleMicDirectPath(h []float64) DirectPathResult {
 	if len(h) == 0 {
 		return DirectPathResult{}
 	}
-	cfg.defaults(len(h))
-	w := dsp.NoiseFloor(h, cfg.NoiseTailTaps)
-	peaks := earlyPeaks(h, w+cfg.Lambda, cfg.SearchWindow)
+	w := dsp.NoiseFloor(h, noiseTailTaps)
+	peaks := earlyPeaks(h, w+lambda, len(h)/2)
 	if len(peaks) == 0 {
 		return DirectPathResult{}
 	}

@@ -72,7 +72,7 @@ func (r *Ranger) RefineArrival(mic1, mic2 []float64, det Detection) (TOAResult, 
 	}
 	guard := float64(r.Estimator.GuardTaps)
 	if mic2 == nil {
-		sp := SingleMicDirectPath(h1, r.DPConfig)
+		sp := SingleMicDirectPath(h1)
 		if !sp.OK {
 			return TOAResult{}, fmt.Errorf("ranging: no direct path found")
 		}
@@ -95,7 +95,7 @@ func (r *Ranger) RefineArrival(mic1, mic2 []float64, det Detection) (TOAResult, 
 		}, nil
 	}
 	// Fallback: single-mic on the primary stream.
-	sp := SingleMicDirectPath(h1, r.DPConfig)
+	sp := SingleMicDirectPath(h1)
 	if !sp.OK {
 		return TOAResult{}, fmt.Errorf("ranging: no direct path on either mic")
 	}

@@ -294,11 +294,11 @@ func TestSingleMicPicksEarliestPeak(t *testing.T) {
 	h := make([]float64, 600)
 	bump(h, 90, 0.5)
 	bump(h, 200, 1.0)
-	res := SingleMicDirectPath(h, DirectPathConfig{})
+	res := SingleMicDirectPath(h)
 	if !res.OK || math.Abs(res.TauTaps-90) > 1 {
 		t.Fatalf("single-mic tau %g, want 90", res.TauTaps)
 	}
-	if r := SingleMicDirectPath(nil, DirectPathConfig{}); r.OK {
+	if r := SingleMicDirectPath(nil); r.OK {
 		t.Error("nil profile should fail")
 	}
 }
@@ -418,7 +418,7 @@ func TestBeepBeepLocksOntoStrongestPathUnderOcclusion(t *testing.T) {
 
 func TestCATArrivalClean(t *testing.T) {
 	const fs = 44100.0
-	sweep := sig.FMCWSweep(1000, 5000, 9840, fs)
+	sweep := sig.LinearChirp(1000, 5000, 9840, fs)
 	r := rand.New(rand.NewSource(13))
 	stream := make([]float64, 40000)
 	for i := range stream {

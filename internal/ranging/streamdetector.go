@@ -47,7 +47,6 @@ type StreamDetector struct {
 	cfg    DetectorConfig
 	tmpl   int              // bank template index this session consumes
 	pipe   *ingest.Pipeline // standalone mode only; nil when externally driven
-	fed    int              // filtered samples observed in consumer mode
 
 	// Filtered samples retained for PN validation: win[0] holds global
 	// filtered index winStart. The window is trimmed to the earliest
@@ -64,10 +63,10 @@ type StreamDetector struct {
 
 	cands []candidate
 
-	// topVals tracks the MaxCandidates strongest candidate peaks seen so
+	// topVals tracks the maxCandidates strongest candidate peaks seen so
 	// far (an unordered min-tracked set); only candidates that enter it
 	// are PN-validated eagerly. Any candidate in the final strongest-
-	// MaxCandidates selection was necessarily in this set when it was
+	// maxCandidates selection was necessarily in this set when it was
 	// discovered, so every selectable candidate carries a real score while
 	// weak candidates skip the (comparatively costly) validation.
 	topVals []float64
@@ -92,7 +91,6 @@ func newStreamDetector(p sig.Params, cfg DetectorConfig, matcher *dsp.Matcher, m
 	sd := newStreamConsumer(p, cfg, 0)
 	icfg := ingest.Config{
 		Bank:       dsp.NewMatcherBankLowLatency(matcher),
-		Normalized: true,
 		SampleRate: p.SampleRate,
 		Meter:      meter,
 	}
@@ -154,7 +152,6 @@ func (s *StreamDetector) Detections() []Detection {
 // Chunk implements ingest.ChunkConsumer: the band-limited samples are
 // retained (until decided) for PN validation of candidate peaks.
 func (s *StreamDetector) Chunk(samples []float64) {
-	s.fed += len(samples)
 	s.win = append(s.win, samples...)
 }
 
@@ -201,7 +198,7 @@ func (s *StreamDetector) scan(lags []float64, final bool) {
 }
 
 // decide applies the FindPeaks predicate to lag i and, on a candidate,
-// gates it through the top-MaxCandidates tracker for eager validation.
+// gates it through the top-maxCandidates tracker for eager validation.
 func (s *StreamDetector) decide(i int, x, right float64, hasRight bool) {
 	if x < s.cfg.CandidateThreshold {
 		return
@@ -222,10 +219,10 @@ func (s *StreamDetector) decide(i int, x, right float64, hasRight bool) {
 	s.cands = append(s.cands, candidate{idx: i, corr: x, score: score})
 }
 
-// admitTop reports whether value x ranks among the MaxCandidates
+// admitTop reports whether value x ranks among the maxCandidates
 // strongest seen so far, maintaining the tracked set.
 func (s *StreamDetector) admitTop(x float64) bool {
-	if len(s.topVals) < s.cfg.MaxCandidates {
+	if len(s.topVals) < maxCandidates {
 		s.topVals = append(s.topVals, x)
 		return true
 	}
@@ -243,7 +240,7 @@ func (s *StreamDetector) admitTop(x float64) bool {
 }
 
 // selectCurrent applies the one-shot selection semantics to the candidate
-// set so far: strongest first, top MaxCandidates, validation threshold,
+// set so far: strongest first, top maxCandidates, validation threshold,
 // MinSeparation greedy dedup, index-sorted output.
 func (s *StreamDetector) selectCurrent() []Detection {
 	if len(s.cands) == 0 {
@@ -251,12 +248,12 @@ func (s *StreamDetector) selectCurrent() []Detection {
 	}
 	cands := append([]candidate(nil), s.cands...)
 	sort.Slice(cands, func(i, j int) bool { return cands[i].corr > cands[j].corr })
-	if len(cands) > s.cfg.MaxCandidates {
-		cands = cands[:s.cfg.MaxCandidates]
+	if len(cands) > maxCandidates {
+		cands = cands[:maxCandidates]
 	}
 	var out []Detection
 	for _, c := range cands {
-		if c.score < s.cfg.AutoCorrThreshold || math.IsNaN(c.score) {
+		if c.score < autoCorrThreshold || math.IsNaN(c.score) {
 			continue
 		}
 		dup := false

@@ -347,16 +347,6 @@ func TestBandLimitRemovesOutOfBand(t *testing.T) {
 	}
 }
 
-func TestFMCWSweepSameAsChirp(t *testing.T) {
-	a := FMCWSweep(1000, 5000, 1024, 44100)
-	b := LinearChirp(1000, 5000, 1024, 44100)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("FMCW sweep should be the linear chirp")
-		}
-	}
-}
-
 func BenchmarkPreamble(b *testing.B) {
 	p := DefaultParams()
 	b.ReportAllocs()

@@ -24,14 +24,6 @@ func LinearChirp(f0, f1 float64, n int, fs float64) []float64 {
 	return out
 }
 
-// FMCWSweep returns a full FMCW up-sweep identical in band and duration to
-// the ranging preamble, used by the CAT baseline (Mao et al.): the receiver
-// mixes the received signal with this transmitted copy and reads distance
-// off the beat frequency.
-func FMCWSweep(f0, f1 float64, n int, fs float64) []float64 {
-	return LinearChirp(f0, f1, n, fs)
-}
-
 // Tone returns an n-sample sine at freq Hz with the given amplitude.
 func Tone(freq float64, n int, fs, amplitude float64) []float64 {
 	out := make([]float64, n)

@@ -156,7 +156,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 	}
 	const trials = 2
 	run := func(workers int) []string {
-		return engine.Map(engine.Config{Workers: workers}, trials, func(trial int, rng *rand.Rand) string {
+		out, _ := engine.Run(context.Background(), engine.Config{Workers: workers}, trials, func(trial int, rng *rand.Rand) string {
 			cfg := threeDeviceDock(0)
 			cfg.Rng = rng
 			nw, err := NewNetwork(cfg)
@@ -171,6 +171,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 			}
 			return dumpRound(res)
 		})
+		return out
 	}
 	serial := run(1)
 	parallel := run(8)

@@ -69,17 +69,6 @@ func TestStreamDurationCoversProtocolAndReports(t *testing.T) {
 	}
 }
 
-func TestSoundSpeedAssumedBias(t *testing.T) {
-	cfg := TwoDeviceConfig(channel.Dock(), 10, 2, 2, 1)
-	nw, _ := NewNetwork(cfg)
-	base := nw.SoundSpeedAssumed()
-	cfg.SoundSpeedBias = 15
-	nw2, _ := NewNetwork(cfg)
-	if got := nw2.SoundSpeedAssumed(); math.Abs(got-base-15) > 1e-9 {
-		t.Errorf("bias not applied: %g vs %g", got, base)
-	}
-}
-
 func TestMessageWaveLayout(t *testing.T) {
 	cfg := fiveDeviceDock(1)
 	nw, _ := NewNetwork(cfg)

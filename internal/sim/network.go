@@ -77,13 +77,20 @@ type LinkFault struct {
 	Drop      bool    // no energy passes at all
 }
 
+// txAmplitude is the source amplitude at 1 m for a TXEfficiency-1
+// device (speaker at max volume). Calibrated so phone speakers at max
+// volume are comfortably detectable at dive-group ranges but genuinely
+// marginal at the 35–45 m edge of Fig. 11 — matching the paper's SNR
+// regime (Fig. 22: ~30 dB at 10 m, ~10-20 dB at 28 m in-band).
+const txAmplitude = 0.8
+
+// maxReflections bounds the image-method order of every rendered link.
+const maxReflections = 3
+
 // Config assembles a network scenario.
 type Config struct {
 	Env     *channel.Environment
 	Devices []DeviceSpec
-	// TxAmplitude is the source amplitude at 1 m for a TXEfficiency-1
-	// device (speaker at max volume).
-	TxAmplitude float64
 	// Faults lists degraded links.
 	Faults []LinkFault
 	// Seed drives all randomness in the scenario.
@@ -94,15 +101,10 @@ type Config struct {
 	// touches any other random state, so trials sharing nothing but
 	// read-only config can run concurrently.
 	Rng *rand.Rand
-	// SoundSpeedBias (m/s) offsets the receiver's assumed sound speed
-	// from the true one (temperature misconfiguration studies).
-	SoundSpeedBias float64
 	// DisableReportBack short-circuits the FSK report phase and hands the
 	// leader the remote timestamp tables losslessly. The default (false)
 	// runs the full §2.4 communication system.
 	DisableReportBack bool
-	// MaxReflections bounds the image-method order (default 3).
-	MaxReflections int
 	// IngestChunk is the audio-buffer size (samples) every receiver-side
 	// ingest pipeline of a round is fed with; 0 means the default OpenSL
 	// ES-like grain (4096, ~93 ms at 44.1 kHz). Round results are
@@ -166,22 +168,17 @@ func NewNetwork(cfg Config) (*Network, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("sim: need at least 2 devices, got %d", n)
 	}
-	if cfg.TxAmplitude == 0 {
-		// Calibrated so phone speakers at max volume are comfortably
-		// detectable at dive-group ranges but genuinely marginal at the
-		// 35–45 m edge of Fig. 11 — matching the paper's SNR regime
-		// (Fig. 22: ~30 dB at 10 m, ~10-20 dB at 28 m in-band).
-		cfg.TxAmplitude = 0.8
-	}
-	if cfg.MaxReflections == 0 {
-		cfg.MaxReflections = 3
-	}
 	for i, d := range cfg.Devices {
 		if d.Model == nil {
 			return nil, fmt.Errorf("sim: device %d has no model", i)
 		}
 		if err := d.Model.Validate(); err != nil {
 			return nil, err
+		}
+		for axis, v := range [...]float64{d.Pos.X, d.Pos.Y, d.Pos.Z} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("sim: device %d position %c = %g is not finite", i, "XYZ"[axis], v)
+			}
 		}
 		if d.Pos.Z < 0 || d.Pos.Z > cfg.Env.BottomDepthM {
 			return nil, fmt.Errorf("sim: device %d depth %.2f outside water column [0, %.2f]", i, d.Pos.Z, cfg.Env.BottomDepthM)
@@ -242,14 +239,14 @@ func (nw *Network) TruePositions(t float64) []geom.Vec3 {
 	return out
 }
 
-// SoundSpeedAssumed is the speed the receiver-side arithmetic uses
-// (true environment speed at mid-depth plus the configured bias).
+// SoundSpeedAssumed is the speed the receiver-side arithmetic uses: the
+// true environment speed at the devices' mean depth.
 func (nw *Network) SoundSpeedAssumed() float64 {
 	var zSum float64
 	for _, d := range nw.cfg.Devices {
 		zSum += d.Pos.Z
 	}
-	return nw.env.SoundSpeed(zSum/float64(nw.N())) + nw.cfg.SoundSpeedBias
+	return nw.env.SoundSpeed(zSum / float64(nw.N()))
 }
 
 // messageWave builds the on-air packet: ranging preamble followed by two
@@ -282,7 +279,7 @@ func releaseWave(w []float64) { dsp.PutF64(w) }
 // per-mic sensitivity. micIdx selects b's microphone.
 func (nw *Network) linkGain(a, b *simDevice, micIdx int, posA, posB geom.Vec3) float64 {
 	dir := posB.Sub(posA).Normalize()
-	g := nw.cfg.TxAmplitude
+	g := txAmplitude
 	g *= a.spec.Model.TXEfficiency
 	g *= a.spec.Orient.DirectivityGain(dir)
 	g *= b.spec.Orient.DirectivityGain(dir.Scale(-1))
@@ -316,10 +313,10 @@ func (nw *Network) renderTransmission(tx *simDevice, txIdx int, wave []float64, 
 		mics := rx.spec.Model.MicWorldPositions(posRx, rx.spec.Orient)
 		// One wave-state draw per transmission/receiver: both mics see
 		// the same perturbed surface and the same direct-ray fade.
-		jitter := nw.env.DrawSurfaceJitter(nw.rng, nw.cfg.MaxReflections, posTx.Dist(posRx))
+		jitter := nw.env.DrawSurfaceJitter(nw.rng, maxReflections, posTx.Dist(posRx))
 		for mi, micPos := range mics {
 			taps := nw.env.ImpulseResponse(spk, micPos, channel.ImpulseOptions{
-				MaxOrder:         nw.cfg.MaxReflections,
+				MaxOrder:         maxReflections,
 				DirectAttenuated: directGain,
 				OccludeShallow:   occludeShallow,
 			})

@@ -216,7 +216,6 @@ func (nw *Network) scanTail(bank *dsp.MatcherBank, d *simDevice, searchFrom int)
 	}
 	pipe := ingest.New(ingest.Config{
 		Bank:       bank,
-		Normalized: true,
 		SampleRate: nw.params.SampleRate,
 		Meter:      nw.cfg.IngestMeter,
 	})

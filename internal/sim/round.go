@@ -234,7 +234,6 @@ func (nw *Network) calibrateAll(ctx context.Context) error {
 		// materializing a window-sized correlation slab.
 		pipe := ingest.New(ingest.Config{
 			Bank:       bank,
-			Normalized: true,
 			SampleRate: fs,
 			Meter:      nw.cfg.IngestMeter,
 		})

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"uwpos/internal/channel"
@@ -32,6 +33,34 @@ func TestNewNetworkValidation(t *testing.T) {
 	}, Faults: []LinkFault{{A: 0, B: 9}}}
 	if _, err := NewNetwork(badFault); err == nil {
 		t.Error("fault on unknown pair should fail")
+	}
+}
+
+// TestNewNetworkRejectsNonFinitePosition: a NaN or infinite coordinate
+// on any axis fails construction, naming the device and the axis, before
+// any acoustics run.
+func TestNewNetworkRejectsNonFinitePosition(t *testing.T) {
+	for _, axis := range []string{"X", "Y", "Z"} {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := TwoDeviceConfig(channel.Dock(), 5, 2, 2, 1)
+			pos := &cfg.Devices[1].Pos
+			switch axis {
+			case "X":
+				pos.X = v
+			case "Y":
+				pos.Y = v
+			case "Z":
+				pos.Z = v
+			}
+			_, err := NewNetwork(cfg)
+			if err == nil {
+				t.Errorf("%s = %g: NewNetwork succeeded", axis, v)
+				continue
+			}
+			if msg := err.Error(); !strings.Contains(msg, "device 1") || !strings.Contains(msg, "position "+axis) {
+				t.Errorf("%s = %g: error %q does not name device 1 and axis %s", axis, v, msg, axis)
+			}
+		}
 	}
 }
 

@@ -107,11 +107,6 @@ func CDFAt(xs []float64, v float64) float64 {
 	return float64(n) / float64(len(xs))
 }
 
-// Summary formats median / 95th for a sample.
-func Summary(xs []float64) string {
-	return fmt.Sprintf("median %.2f, 95th %.2f (n=%d)", Median(xs), Percentile(xs, 95), len(xs))
-}
-
 // Table is a printable experiment result.
 type Table struct {
 	ID     string // e.g. "fig11a"

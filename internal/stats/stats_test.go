@@ -168,10 +168,3 @@ func TestFormatHelpers(t *testing.T) {
 		t.Error("NaN formatting wrong")
 	}
 }
-
-func TestSummary(t *testing.T) {
-	s := Summary([]float64{1, 2, 3})
-	if !strings.Contains(s, "median 2.00") || !strings.Contains(s, "n=3") {
-		t.Errorf("summary %q", s)
-	}
-}
