@@ -3,6 +3,7 @@ package uwpos
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -28,6 +29,32 @@ func TestConfigErrorAs(t *testing.T) {
 			return err
 		}(), "SeparationM"},
 		{"empty tracker round", NewGroupTracker(TrackerConfig{}).AddRound(0, nil), "Result"},
+		{"invalid env system", func() error {
+			_, err := NewSystem(SystemConfig{Env: &Environment{}, Divers: make([]Diver, 3)})
+			return err
+		}(), "Env"},
+		{"diver below the bottom", func() error {
+			_, err := NewSystem(SystemConfig{Env: Pool(), Divers: []Diver{
+				{Pos: Vec3{Z: 1}}, {Pos: Vec3{X: 5, Z: 1}}, {Pos: Vec3{X: 8, Z: 40}},
+			}})
+			return err
+		}(), "Divers"},
+		{"group too large for the report phase", func() error {
+			divers := make([]Diver, 14)
+			for i := range divers {
+				divers[i].Pos = Vec3{X: float64(3 * i), Z: 2}
+			}
+			_, err := NewSystem(SystemConfig{Env: Dock(), Divers: divers})
+			return err
+		}(), "Divers"},
+		{"NaN separation", func() error {
+			_, err := RangeBetween(context.Background(), RangeConfig{Env: Dock(), SeparationM: math.NaN()})
+			return err
+		}(), "SeparationM"},
+		{"depth below the bottom", func() error {
+			_, err := RangeBetween(context.Background(), RangeConfig{Env: Pool(), SeparationM: 5, DepthBM: 40})
+			return err
+		}(), "DepthAM/DepthBM"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

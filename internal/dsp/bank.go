@@ -1,24 +1,26 @@
 package dsp
 
-import "sync/atomic"
+import (
+	"math"
+	"sync/atomic"
+)
 
-// MatcherBank groups several Matchers so one stream can be scanned for
-// every template at far less than per-template cost. All templates share
-// one overlap-save block grid sized for the longest template; each block
+// MatcherBank is the block grid one stream is scanned on for several
+// Matchers at far less than per-template cost. All templates share one
+// overlap-save block length sized for the longest template; each block
 // of the stream is forward-transformed exactly once, and every template
 // then pays only its pointwise multiply and inverse transform. With N
-// templates that is 1+N half-transforms per block instead of 2N — the
-// receiver scans the same audio for the ranging preamble, the calibration
-// chirp and the baseline sweeps for roughly half the transform work.
+// templates that is 1+N half-transforms per block instead of 2N.
 //
-// Every bank scan is window-energy normalized (outputs in [-1, 1]): the
-// receiver thresholds correlation peaks against a level independent of
-// the received amplitude.
+// The scan itself is a BankStream session (see Stream): the only code
+// that computes a correlation lag. Every lag is window-energy normalized
+// (outputs in [-1, 1]): the receiver thresholds correlation peaks
+// against a level independent of the received amplitude.
 //
 // A bank is immutable after construction and safe for concurrent use:
-// the one-shot scan only reads the member matchers' cached spectra (each
-// guarded inside Matcher), and every streaming session created by Stream
-// owns its state exclusively.
+// every session created by Stream owns its state exclusively and only
+// reads the member matchers' cached spectra (each guarded inside
+// Matcher).
 type MatcherBank struct {
 	ms     []*Matcher
 	maxLen int // longest template, samples
@@ -26,12 +28,17 @@ type MatcherBank struct {
 	hop    int // valid lags per block: block - maxLen + 1
 }
 
+// osBlockFactor sizes the throughput-oriented bank block relative to the
+// longest template: NextPow2(osBlockFactor·len(h)) keeps >= ~87% of each
+// block as valid lags, so a long stream pays few transforms per lag
+// while scratch stays bounded at the block length.
+const osBlockFactor = 8
+
 // NewMatcherBank builds a bank over the given matchers with the
 // throughput-oriented block size (osBlockFactor × the longest template,
-// ≈87% valid lags per block — the same sizing Matcher's own blocked path
-// uses). It panics on an empty bank or an empty template — a bank exists
-// to scan templates, and a zero-length template has no correlation
-// defined.
+// ≈87% valid lags per block). It panics on an empty bank or an empty
+// template — a bank exists to scan templates, and a zero-length template
+// has no correlation defined.
 func NewMatcherBank(ms ...*Matcher) *MatcherBank {
 	return newMatcherBank(osBlockFactor, ms)
 }
@@ -54,17 +61,16 @@ func NewMatcherBankLowLatency(ms ...*Matcher) *MatcherBank {
 }
 
 // bankForwardCount counts shared forward block transforms across every
-// MatcherBank scan and BankStream session in the process — the
-// observable for "exactly one forward transform per block feeds every
-// consumer" assertions (see BankForwardTransforms).
+// BankStream session in the process — the observable for "exactly one
+// forward transform per block feeds every consumer" assertions (see
+// BankForwardTransforms).
 var bankForwardCount atomic.Uint64
 
 // BankForwardTransforms returns the process-wide number of shared
-// forward block transforms executed by MatcherBank one-shot scans and
-// BankStream sessions since process start. Deltas around a scan measure
-// how many forward FFTs the scan actually paid for; a shared-scan
-// pipeline over N templates and C consumers advances it exactly once per
-// block, independent of N and C.
+// forward block transforms executed by BankStream sessions since
+// process start. Deltas around a scan measure how many forward FFTs the
+// scan actually paid for; a shared-scan pipeline over N templates and C
+// consumers advances it exactly once per block, independent of N and C.
 func BankForwardTransforms() uint64 { return bankForwardCount.Load() }
 
 func newMatcherBank(blockFactor int, ms []*Matcher) *MatcherBank {
@@ -95,72 +101,6 @@ func (b *MatcherBank) Len() int { return len(b.ms) }
 // Matcher returns the i-th member matcher.
 func (b *MatcherBank) Matcher(i int) *Matcher { return b.ms[i] }
 
-// NormalizedCrossCorrelateAllPooled computes the normalized valid-lag
-// cross-correlation of every template against x in one pass. out[i] has
-// len(x)-len(template_i)+1 lags, or is nil when x is shorter than that
-// template. Rows come from the scratch pool; release each non-nil row
-// with PutF64.
-func (b *MatcherBank) NormalizedCrossCorrelateAllPooled(x []float64) [][]float64 {
-	outs := make([][]float64, len(b.ms))
-	maxOut := 0
-	for i, mt := range b.ms {
-		n := len(x) - mt.TemplateLen() + 1
-		if n <= 0 {
-			continue // outs[i] stays nil, matching the one-shot contract
-		}
-		outs[i] = GetF64(n)
-		if n > maxOut {
-			maxOut = n
-		}
-	}
-	if maxOut == 0 {
-		return outs
-	}
-	hm := b.block / 2
-	fxre := getF64Raw(hm)
-	defer PutF64(fxre)
-	fxim := getF64Raw(hm)
-	defer PutF64(fxim)
-	zre := getF64Raw(hm)
-	defer PutF64(zre)
-	zim := getF64Raw(hm)
-	defer PutF64(zim)
-	for p := 0; p < maxOut; p += b.hop {
-		end := p + b.block
-		if end > len(x) {
-			end = len(x)
-		}
-		// One shared packed forward transform per block; each template then
-		// pays only its fused spectrum fold and inverse (see rfft.go). The
-		// shared spectrum stays in the kernel's permuted packed order the
-		// whole time — the fold reads it without disturbing it.
-		rfftPacked(fxre, fxim, x[p:end])
-		bankForwardCount.Add(1)
-		for i, out := range outs {
-			if out == nil || p >= len(out) {
-				continue
-			}
-			foldSpecMulTo(zre, zim, fxre, fxim, b.ms[i].spectrum(b.block), b.block)
-			fftSoA(zre, zim, true)
-			seg := out[p:]
-			if len(seg) > b.hop {
-				seg = seg[:b.hop]
-			}
-			interleaveScaled(seg, zre, zim, hm)
-		}
-	}
-	prefix := GetF64(len(x) + 1)
-	defer PutF64(prefix)
-	energyPrefix(prefix, x)
-	for i, out := range outs {
-		if out == nil {
-			continue
-		}
-		normalizeWithPrefix(out, prefix, b.ms[i].TemplateLen(), b.ms[i].energy)
-	}
-	return outs
-}
-
 // Stream opens an incremental scanning session over the bank: feed the
 // stream chunk by chunk and collect each template's normalized
 // correlation lags as they become computable.
@@ -183,9 +123,7 @@ func (b *MatcherBank) Stream() *BankStream {
 // newly computable correlation lags come out per template. Because blocks
 // sit on a fixed absolute grid (multiples of the bank hop from stream
 // start), the emitted lags are bit-for-bit identical for every chunk
-// partition of the same stream — including the whole stream in one Feed,
-// which is exactly what the bank's one-shot
-// NormalizedCrossCorrelateAllPooled computes.
+// partition of the same stream, including the whole stream in one Feed.
 //
 // State is O(block length): the session carries only the inter-block
 // overlap, a rolling energy-prefix window, and per-template emission
@@ -344,4 +282,44 @@ func (s *BankStream) grow(n int) {
 	copy(np, s.pre[:s.bufLen+1])
 	PutF64(s.pre)
 	s.pre = np
+}
+
+// neumaierAdd folds y into the compensated running sum (sum, comp):
+// Kahan–Babuška–Neumaier summation, which keeps the low-order bits a
+// plain running sum sheds — over a 10^7-sample stream the plain sum's
+// window energies drift by orders of magnitude more than one ulp.
+func neumaierAdd(sum, comp, y float64) (float64, float64) {
+	t := sum + y
+	if sum >= y {
+		comp += (sum - t) + y
+	} else {
+		comp += (y - t) + sum
+	}
+	return t, comp
+}
+
+// normalizeWithPrefix divides each correlation lag by sqrt(E_window·eh),
+// reading window energies off a precomputed energy prefix: prefix[k] must
+// hold the cumulative Σ x² up to (but not including) the stream sample
+// aligned with lag r[k]. One prefix serves every template of a block.
+// Windows of (near-)zero energy yield 0.
+func normalizeWithPrefix(r, prefix []float64, hlen int, eh float64) {
+	if eh == 0 {
+		for i := range r {
+			r[i] = 0
+		}
+		return
+	}
+	const eps = 1e-30
+	lo := prefix[:len(r)]
+	hi := prefix[hlen:][:len(r)]
+	for k := range r {
+		ex := hi[k] - lo[k]
+		den := math.Sqrt(ex * eh)
+		if den < eps {
+			r[k] = 0
+		} else {
+			r[k] /= den
+		}
+	}
 }

@@ -16,19 +16,6 @@ func bankOf(r *rand.Rand, lens ...int) *MatcherBank {
 	return NewMatcherBank(ms...)
 }
 
-// feedPartition drives a one-template stream session over an arbitrary
-// chunk partition of x and returns the concatenated output lags.
-func feedPartition(s *BankStream, x []float64, cuts []int) []float64 {
-	var out []float64
-	prev := 0
-	for _, c := range cuts {
-		out = append(out, s.Feed(x[prev:c])[0]...)
-		prev = c
-	}
-	out = append(out, s.Feed(x[prev:])[0]...)
-	return append(out, s.Flush()[0]...)
-}
-
 // randomCuts draws a sorted set of chunk boundaries in [0, n], including
 // degenerate empty chunks with some probability.
 func randomCuts(r *rand.Rand, n int) []int {
@@ -41,9 +28,9 @@ func randomCuts(r *rand.Rand, n int) []int {
 	return cuts
 }
 
-// TestMatcherBankMatchesSingleScans checks the shared-forward-FFT batch
-// scan, at both block sizes, against each member matcher's own one-shot
-// normalized correlation.
+// TestMatcherBankMatchesSingleScans checks the shared-forward-FFT scan,
+// fed the whole stream in one chunk at both block sizes, against each
+// member template's direct normalized correlation.
 func TestMatcherBankMatchesSingleScans(t *testing.T) {
 	r := rand.New(rand.NewSource(50))
 	for _, lens := range [][]int{
@@ -55,10 +42,13 @@ func TestMatcherBankMatchesSingleScans(t *testing.T) {
 		base := bankOf(r, lens...)
 		for _, nx := range []int{12000, 40000} {
 			x := randReal(r, nx)
-			for _, b := range []*MatcherBank{base, NewMatcherBankLowLatency(base.ms...)} {
-				norm := b.NormalizedCrossCorrelateAllPooled(x)
-				for i := 0; i < b.Len(); i++ {
-					wantNorm := b.Matcher(i).correlate(x, true, false)
+			want := make([][]float64, base.Len())
+			for i := range want {
+				want[i] = refNormalized(x, base.Matcher(i).Template())
+			}
+			for _, b := range bothGrids(base.ms...) {
+				norm := scanParts(b, x, nil)
+				for i, wantNorm := range want {
 					if len(norm[i]) != len(wantNorm) {
 						t.Fatalf("lens=%v nx=%d block=%d t%d: length %d vs %d", lens, nx, b.block, i, len(norm[i]), len(wantNorm))
 					}
@@ -73,38 +63,24 @@ func TestMatcherBankMatchesSingleScans(t *testing.T) {
 	}
 }
 
-// TestBankStreamMatchesOneShot checks the streaming session, at both
-// block sizes, is bit-identical to the bank's own one-shot scan for
-// arbitrary chunk partitions — both run the same absolute block grid.
+// TestBankStreamMatchesOneShot checks that every chunk partition of a
+// session, at both block sizes, is bit-identical to the one-chunk feed —
+// both run the same absolute block grid.
 func TestBankStreamMatchesOneShot(t *testing.T) {
 	r := rand.New(rand.NewSource(51))
-	base := bankOf(r, 512, 2000, 128)
-	for _, b := range []*MatcherBank{base, NewMatcherBankLowLatency(base.ms...)} {
+	for _, b := range bothGrids(bankOf(r, 512, 2000, 128).ms...) {
 		for _, nx := range []int{500, 5000, 30000} {
 			x := randReal(r, nx)
-			want := b.NormalizedCrossCorrelateAllPooled(x)
+			want := scanParts(b, x, nil)
 			for trial := 0; trial < 8; trial++ {
-				got := make([][]float64, b.Len())
-				s := b.Stream()
-				collect := func(rows [][]float64) {
-					for i, row := range rows {
-						got[i] = append(got[i], row...)
-					}
-				}
-				prev := 0
-				for _, c := range randomCuts(r, nx) {
-					collect(s.Feed(x[prev:c]))
-					prev = c
-				}
-				collect(s.Feed(x[prev:]))
-				collect(s.Flush())
+				got := scanParts(b, x, randomCuts(r, nx))
 				for i := range got {
 					if len(got[i]) != len(want[i]) {
 						t.Fatalf("block=%d nx=%d t%d: length %d vs %d", b.block, nx, i, len(got[i]), len(want[i]))
 					}
 					for k := range got[i] {
 						if got[i][k] != want[i][k] {
-							t.Fatalf("block=%d nx=%d t%d lag %d: stream %v vs one-shot %v", b.block, nx, i, k, got[i][k], want[i][k])
+							t.Fatalf("block=%d nx=%d t%d lag %d: chunked %v vs one-chunk %v", b.block, nx, i, k, got[i][k], want[i][k])
 						}
 					}
 				}
@@ -116,43 +92,44 @@ func TestBankStreamMatchesOneShot(t *testing.T) {
 // TestBankStreamEquivalence is the one-template half of the streaming
 // equivalence harness: over randomized chunk partitions (sizes from 0 to
 // whole-stream, boundaries anywhere — including inside the template span
-// of a lag) the concatenated output of a low-latency session must match
-// the matcher's own correlation within 1e-9 per lag, and be bit-identical
-// to the single-chunk feed of the same session type.
+// of a lag) the concatenated output of a session must match the direct
+// normalized correlation within 1e-9 per lag, and be bit-identical to the
+// single-chunk feed of the same bank, at both block sizes.
 func TestBankStreamEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(40))
 	for _, tc := range []struct{ nx, nh int }{
 		{500, 64},
 		{2000, 200},
 		{9000, 1024},
-		{40000, 1024}, // long enough that Matcher itself picks overlap-save
+		{40000, 1024}, // many blocks on either grid
 		{300, 300},    // single lag
 		{1000, 999},
 	} {
 		x := randReal(r, tc.nx)
-		mt := NewMatcher(randReal(r, tc.nh))
-		bank := NewMatcherBankLowLatency(mt)
-		wantNorm := mt.correlate(x, true, false)
-		oneChunkNorm := feedPartition(bank.Stream(), x, nil)
-		if len(oneChunkNorm) != len(wantNorm) {
-			t.Fatalf("nx=%d nh=%d: one-chunk length %d, want %d", tc.nx, tc.nh, len(oneChunkNorm), len(wantNorm))
-		}
-		for i := range wantNorm {
-			if math.Abs(wantNorm[i]-oneChunkNorm[i]) > 1e-9 {
-				t.Fatalf("nx=%d nh=%d: one-chunk normalized lag %d: %g vs %g", tc.nx, tc.nh, i, oneChunkNorm[i], wantNorm[i])
+		h := randReal(r, tc.nh)
+		wantNorm := refNormalized(x, h)
+		for _, bank := range bothGrids(NewMatcher(h)) {
+			oneChunkNorm := scanParts(bank, x, nil)[0]
+			if len(oneChunkNorm) != len(wantNorm) {
+				t.Fatalf("nx=%d nh=%d block=%d: one-chunk length %d, want %d", tc.nx, tc.nh, bank.block, len(oneChunkNorm), len(wantNorm))
 			}
-		}
-		for trial := 0; trial < 10; trial++ {
-			cuts := randomCuts(r, tc.nx)
-			norm := feedPartition(bank.Stream(), x, cuts)
-			if len(norm) != len(wantNorm) {
-				t.Fatalf("nx=%d nh=%d cuts=%v: length %d, want %d", tc.nx, tc.nh, cuts, len(norm), len(wantNorm))
+			for i := range wantNorm {
+				if math.Abs(wantNorm[i]-oneChunkNorm[i]) > 1e-9 {
+					t.Fatalf("nx=%d nh=%d block=%d: one-chunk normalized lag %d: %g vs %g", tc.nx, tc.nh, bank.block, i, oneChunkNorm[i], wantNorm[i])
+				}
 			}
-			for i := range norm {
-				// Chunk-partition invariance is exact: same absolute block
-				// grid, same transforms, bit for bit.
-				if norm[i] != oneChunkNorm[i] {
-					t.Fatalf("nx=%d nh=%d cuts=%v: normalized lag %d not bit-identical: %v vs %v", tc.nx, tc.nh, cuts, i, norm[i], oneChunkNorm[i])
+			for trial := 0; trial < 10; trial++ {
+				cuts := randomCuts(r, tc.nx)
+				norm := scanParts(bank, x, cuts)[0]
+				if len(norm) != len(wantNorm) {
+					t.Fatalf("nx=%d nh=%d block=%d cuts=%v: length %d, want %d", tc.nx, tc.nh, bank.block, cuts, len(norm), len(wantNorm))
+				}
+				for i := range norm {
+					// Chunk-partition invariance is exact: same absolute block
+					// grid, same transforms, bit for bit.
+					if norm[i] != oneChunkNorm[i] {
+						t.Fatalf("nx=%d nh=%d block=%d cuts=%v: normalized lag %d not bit-identical: %v vs %v", tc.nx, tc.nh, bank.block, cuts, i, norm[i], oneChunkNorm[i])
+					}
 				}
 			}
 		}
@@ -163,41 +140,44 @@ func TestMatcherBankShortStream(t *testing.T) {
 	r := rand.New(rand.NewSource(52))
 	b := bankOf(r, 100, 400)
 	x := randReal(r, 200) // long enough for template 0 only
-	outs := b.NormalizedCrossCorrelateAllPooled(x)
-	if len(outs[0]) != 101 {
-		t.Fatalf("template 0 got %d lags, want 101", len(outs[0]))
+	want := scanParts(b, x, nil)
+	if len(want[0]) != 101 || len(want[1]) != 0 {
+		t.Fatalf("one-chunk rows %d/%d, want 101/0", len(want[0]), len(want[1]))
 	}
-	if outs[1] != nil {
-		t.Fatalf("template longer than stream must yield nil, got %d lags", len(outs[1]))
-	}
-	s := b.Stream()
-	s.Feed(x)
-	rows := s.Flush()
-	if len(rows[0]) != 101 || len(rows[1]) != 0 {
-		t.Fatalf("stream rows %d/%d, want 101/0", len(rows[0]), len(rows[1]))
+	for trial := 0; trial < 8; trial++ {
+		got := scanParts(b, x, randomCuts(r, len(x)))
+		if len(got[0]) != 101 || len(got[1]) != 0 {
+			t.Fatalf("chunked rows %d/%d, want 101/0", len(got[0]), len(got[1]))
+		}
+		for k := range got[0] {
+			if got[0][k] != want[0][k] {
+				t.Fatalf("lag %d: chunked %v vs one-chunk %v", k, got[0][k], want[0][k])
+			}
+		}
 	}
 }
 
-// TestBankStreamSampleBySample feeds a low-latency session one sample at
-// a time — the most adversarial partition — against the one-shot
-// Matcher reference.
+// TestBankStreamSampleBySample feeds a session one sample at a time —
+// the most adversarial partition — at both block sizes, against the
+// direct normalized reference.
 func TestBankStreamSampleBySample(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	x := randReal(r, 1200)
-	mt := NewMatcher(randReal(r, 100))
-	want := mt.correlate(x, true, false)
-	s := NewMatcherBankLowLatency(mt).Stream()
-	var got []float64
-	for i := range x {
-		got = append(got, s.Feed(x[i : i+1])[0]...)
+	h := randReal(r, 100)
+	want := refNormalized(x, h)
+	cuts := make([]int, len(x))
+	for i := range cuts {
+		cuts[i] = i + 1
 	}
-	got = append(got, s.Flush()[0]...)
-	if len(got) != len(want) {
-		t.Fatalf("length %d, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if math.Abs(got[i]-want[i]) > 1e-9 {
-			t.Fatalf("lag %d: %g vs %g", i, got[i], want[i])
+	for _, b := range bothGrids(NewMatcher(h)) {
+		got := scanParts(b, x, cuts)[0]
+		if len(got) != len(want) {
+			t.Fatalf("block=%d: length %d, want %d", b.block, len(got), len(want))
+		}
+		for i := range got {
+			if math.Abs(got[i]-want[i]) > 1e-9 {
+				t.Fatalf("block=%d lag %d: %g vs %g", b.block, i, got[i], want[i])
+			}
 		}
 	}
 }
@@ -246,46 +226,28 @@ func TestMatcherBankPanics(t *testing.T) {
 	}
 }
 
-// TestMatcherBankConcurrentSessions mirrors the PR 3 concurrent-table
-// tests for the engine-worker shape: one shared bank (shared cached
-// template spectra), one independent streaming session per goroutine,
-// plus concurrent one-shot scans. Run under -race in CI.
+// TestMatcherBankConcurrentSessions mirrors the concurrent-table tests
+// for the engine-worker shape: one shared bank (shared cached template
+// spectra), one independent session per goroutine, half of them fed the
+// whole stream in one chunk and half in ragged chunks. Run under -race
+// in CI.
 func TestMatcherBankConcurrentSessions(t *testing.T) {
 	r := rand.New(rand.NewSource(53))
 	b := bankOf(r, 300, 900, 128)
 	x := randReal(r, 20000)
-	want := b.NormalizedCrossCorrelateAllPooled(x)
+	want := scanParts(b, x, nil)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			if g%2 == 0 {
-				got := b.NormalizedCrossCorrelateAllPooled(x)
-				for i := range got {
-					for k := range got[i] {
-						if got[i][k] != want[i][k] {
-							t.Errorf("one-shot diverged under concurrency (t%d lag %d)", i, k)
-							return
-						}
-					}
-				}
-				return
-			}
-			s := b.Stream()
-			got := make([][]float64, b.Len())
-			for off := 0; off < len(x); off += 1000 + 37*g {
-				end := off + 1000 + 37*g
-				if end > len(x) {
-					end = len(x)
-				}
-				for i, row := range s.Feed(x[off:end]) {
-					got[i] = append(got[i], row...)
+			var cuts []int
+			if g%2 == 1 {
+				for c := 1000 + 37*g; c < len(x); c += 1000 + 37*g {
+					cuts = append(cuts, c)
 				}
 			}
-			for i, row := range s.Flush() {
-				got[i] = append(got[i], row...)
-			}
+			got := scanParts(b, x, cuts)
 			for i := range got {
 				if len(got[i]) != len(want[i]) {
 					t.Errorf("session %d: t%d length %d vs %d", g, i, len(got[i]), len(want[i]))
@@ -305,14 +267,12 @@ func TestMatcherBankConcurrentSessions(t *testing.T) {
 
 // BenchmarkBankStream measures the chunked path on the detector's shape:
 // a 2 s stream in 4096-sample buffers against the preamble-length
-// template through a one-template low-latency bank (compare
-// BenchmarkMatcher for the one-shot cost).
+// template through a one-template low-latency bank.
 func BenchmarkBankStream(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	x := randReal(r, 88200)
-	mt := NewMatcher(randReal(r, 9840))
-	PutF64(mt.correlate(x, false, true)) // warm the spectrum cache
-	bank := NewMatcherBankLowLatency(mt)
+	bank := NewMatcherBankLowLatency(NewMatcher(randReal(r, 9840)))
+	scanParts(bank, x, nil) // warm the spectrum cache
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -324,24 +284,28 @@ func BenchmarkBankStream(b *testing.B) {
 	}
 }
 
+// scanWhole feeds x to one session of b in a single chunk, discarding
+// the lags.
+func scanWhole(b *MatcherBank, x []float64) {
+	s := b.Stream()
+	s.Feed(x)
+	s.Flush()
+}
+
 // BenchmarkMatcherBank3 scans a 2 s stream for three preamble-scale
-// templates in one bank pass; BenchmarkMatcherBank3Separate is the same
-// work as three independent matcher scans. The bank must come in
-// measurably under 3× a single scan (one shared forward transform per
-// block instead of three).
+// templates in one bank session fed the whole stream;
+// BenchmarkMatcherBank3Separate is the same work as three one-template
+// sessions. The bank must come in measurably under 3× a single scan (one
+// shared forward transform per block instead of three).
 func BenchmarkMatcherBank3(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	x := randReal(r, 88200)
 	bank := bankOf(r, 9840, 9840, 2048)
-	for _, row := range bank.NormalizedCrossCorrelateAllPooled(x) {
-		PutF64(row) // warm spectra
-	}
+	scanWhole(bank, x) // warm spectra
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, row := range bank.NormalizedCrossCorrelateAllPooled(x) {
-			PutF64(row)
-		}
+		scanWhole(bank, x)
 	}
 }
 
@@ -349,14 +313,16 @@ func BenchmarkMatcherBank3Separate(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	x := randReal(r, 88200)
 	bank := bankOf(r, 9840, 9840, 2048)
-	for i := 0; i < bank.Len(); i++ {
-		PutF64(bank.Matcher(i).NormalizedCrossCorrelatePooled(x)) // warm spectra
+	singles := make([]*MatcherBank, bank.Len())
+	for i := range singles {
+		singles[i] = NewMatcherBank(bank.Matcher(i))
+		scanWhole(singles[i], x) // warm spectra
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for k := 0; k < bank.Len(); k++ {
-			PutF64(bank.Matcher(k).NormalizedCrossCorrelatePooled(x))
+		for _, single := range singles {
+			scanWhole(single, x)
 		}
 	}
 }

@@ -21,48 +21,53 @@ func TestCrossCorrelateFindsEmbeddedTemplate(t *testing.T) {
 	for i, v := range h {
 		x[at+i] += v
 	}
-	corr := NewMatcher(h).correlate(x, false, false)
-	idx, _ := Max(corr)
-	if idx != at {
-		t.Fatalf("peak at %d, want %d", idx, at)
+	for _, b := range bothGrids(NewMatcher(h)) {
+		idx, _ := Max(scanParts(b, x, nil)[0])
+		if idx != at {
+			t.Fatalf("block=%d: peak at %d, want %d", b.block, idx, at)
+		}
 	}
 }
 
+// TestCrossCorrelateDirectEqualsFFT pins the FFT scan to the direct
+// sliding dot product: the one-chunk feed of either block grid matches
+// the direct normalized reference lag for lag.
 func TestCrossCorrelateDirectEqualsFFT(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	x := make([]float64, 513)
 	for i := range x {
 		x[i] = r.NormFloat64()
 	}
-	h := make([]float64, 100) // >= 64 so the matcher takes the FFT path
+	h := make([]float64, 100)
 	for i := range h {
 		h[i] = r.NormFloat64()
 	}
-	fast := NewMatcher(h).correlate(x, false, false)
-	slow := xcorrDirect(x, h, false)
-	if len(fast) != len(slow) {
-		t.Fatalf("length mismatch %d vs %d", len(fast), len(slow))
-	}
-	for i := range fast {
-		if math.Abs(fast[i]-slow[i]) > 1e-9 {
-			t.Fatalf("mismatch at %d: %g vs %g", i, fast[i], slow[i])
+	slow := refNormalized(x, h)
+	for _, b := range bothGrids(NewMatcher(h)) {
+		fast := scanParts(b, x, nil)[0]
+		if len(fast) != len(slow) {
+			t.Fatalf("block=%d: length mismatch %d vs %d", b.block, len(fast), len(slow))
+		}
+		for i := range fast {
+			if math.Abs(fast[i]-slow[i]) > 1e-9 {
+				t.Fatalf("block=%d: mismatch at %d: %g vs %g", b.block, i, fast[i], slow[i])
+			}
 		}
 	}
 }
 
 func TestCrossCorrelateEdgeCases(t *testing.T) {
-	if NewMatcher([]float64{1}).correlate(nil, false, false) != nil {
-		t.Error("nil x should give nil")
-	}
-	if NewMatcher(nil).correlate([]float64{1}, false, false) != nil {
-		t.Error("nil h should give nil")
-	}
-	if NewMatcher([]float64{1, 2, 3}).correlate([]float64{1, 2}, false, false) != nil {
-		t.Error("h longer than x should give nil")
-	}
-	got := NewMatcher([]float64{1, 2, 3}).correlate([]float64{1, 2, 3}, false, false)
-	if len(got) != 1 || math.Abs(got[0]-14) > 1e-12 {
-		t.Errorf("equal-length correlation = %v, want [14]", got)
+	for _, b := range bothGrids(NewMatcher([]float64{1, 2, 3})) {
+		if got := scanParts(b, nil, nil)[0]; len(got) != 0 {
+			t.Errorf("block=%d: empty x gave %d lags, want none", b.block, len(got))
+		}
+		if got := scanParts(b, []float64{1, 2}, nil)[0]; len(got) != 0 {
+			t.Errorf("block=%d: h longer than x gave %d lags, want none", b.block, len(got))
+		}
+		got := scanParts(b, []float64{1, 2, 3}, nil)[0]
+		if len(got) != 1 || math.Abs(got[0]-1) > 1e-12 {
+			t.Errorf("block=%d: equal-length correlation = %v, want [1]", b.block, got)
+		}
 	}
 }
 
@@ -77,9 +82,11 @@ func TestNormalizedCrossCorrelateBounds(t *testing.T) {
 		for i := range h {
 			h[i] = r.NormFloat64()
 		}
-		for _, v := range NewMatcher(h).correlate(x, true, false) {
-			if v > 1+1e-9 || v < -1-1e-9 || math.IsNaN(v) {
-				return false
+		for _, b := range bothGrids(NewMatcher(h)) {
+			for _, v := range scanParts(b, x, nil)[0] {
+				if v > 1+1e-9 || v < -1-1e-9 || math.IsNaN(v) {
+					return false
+				}
 			}
 		}
 		return true
@@ -97,33 +104,40 @@ func TestNormalizedCrossCorrelatePerfectMatchIsOne(t *testing.T) {
 	}
 	x := make([]float64, 512)
 	copy(x[200:], h)
-	corr := NewMatcher(h).correlate(x, true, false)
-	if math.Abs(corr[200]-1) > 1e-9 {
-		t.Fatalf("exact match correlation = %g, want 1", corr[200])
+	banks := bothGrids(NewMatcher(h))
+	for _, b := range banks {
+		if corr := scanParts(b, x, nil)[0]; math.Abs(corr[200]-1) > 1e-9 {
+			t.Fatalf("block=%d: exact match correlation = %g, want 1", b.block, corr[200])
+		}
 	}
 	// Scaling x must not change the normalized value.
 	for i := range x {
 		x[i] *= 37.5
 	}
-	corr = NewMatcher(h).correlate(x, true, false)
-	if math.Abs(corr[200]-1) > 1e-9 {
-		t.Fatalf("scaled match correlation = %g, want 1", corr[200])
+	for _, b := range banks {
+		if corr := scanParts(b, x, nil)[0]; math.Abs(corr[200]-1) > 1e-9 {
+			t.Fatalf("block=%d: scaled match correlation = %g, want 1", b.block, corr[200])
+		}
 	}
 }
 
 func TestNormalizedCrossCorrelateZeroWindow(t *testing.T) {
 	x := make([]float64, 100) // all zeros
 	h := []float64{1, -1, 1}
-	for _, v := range NewMatcher(h).correlate(x, true, false) {
-		if v != 0 {
-			t.Fatalf("zero-energy window gave %g, want 0", v)
+	for _, b := range bothGrids(NewMatcher(h)) {
+		for _, v := range scanParts(b, x, nil)[0] {
+			if v != 0 {
+				t.Fatalf("block=%d: zero-energy window gave %g, want 0", b.block, v)
+			}
 		}
 	}
 	// Zero-energy template.
 	x[3] = 1
-	for _, v := range NewMatcher(make([]float64, 4)).correlate(x, true, false) {
-		if v != 0 {
-			t.Fatalf("zero template gave %g, want 0", v)
+	for _, b := range bothGrids(NewMatcher(make([]float64, 4))) {
+		for _, v := range scanParts(b, x, nil)[0] {
+			if v != 0 {
+				t.Fatalf("block=%d: zero template gave %g, want 0", b.block, v)
+			}
 		}
 	}
 }
@@ -156,54 +170,106 @@ func TestCorrelationShiftProperty(t *testing.T) {
 		shift := int(uint(seed) % 500)
 		x := make([]float64, 700)
 		copy(x[shift:], h)
-		idx, _ := Max(NewMatcher(h).correlate(x, false, false))
-		return idx == shift
+		for _, b := range bothGrids(NewMatcher(h)) {
+			if idx, _ := Max(scanParts(b, x, nil)[0]); idx != shift {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
 }
 
-// TestPooledCorrelateVariants: the bank's pooled scan hands back rows the
-// pool accepts, and a scan drawing those recycled (dirtied) rows is
-// bit-identical to the first.
-func TestPooledCorrelateVariants(t *testing.T) {
-	x := make([]float64, 900)
-	h := make([]float64, 128)
-	for i := range x {
-		x[i] = float64(i%17) - 8
-	}
-	for i := range h {
-		h[i] = float64(i%5) - 2
-	}
-	b := NewMatcherBank(NewMatcher(h))
-	first := b.NormalizedCrossCorrelateAllPooled(x)[0]
-	want := append([]float64(nil), first...)
-	for i := range first {
-		first[i] = math.NaN()
-	}
-	PutF64(first)
-	got := b.NormalizedCrossCorrelateAllPooled(x)[0]
-	if len(got) != len(want) {
-		t.Fatalf("length %d vs %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("lag %d differs after recycling: %v vs %v", i, got[i], want[i])
-		}
-	}
-	PutF64(got)
+// bothGrids returns banks over ms on the two block grids the program
+// scans with: throughput (osBlockFactor) and low latency
+// (streamBlockFactor).
+func bothGrids(ms ...*Matcher) []*MatcherBank {
+	return []*MatcherBank{NewMatcherBank(ms...), NewMatcherBankLowLatency(ms...)}
 }
 
-// refNormalized is the reference normalized correlation the FFT paths
-// are checked against: the direct sliding dot product, divided by the
+// scanParts feeds x to a fresh session of b, cut at the given chunk
+// boundaries (nil: the whole stream in one Feed), and returns every
+// template's concatenated lags, copied out of the session.
+func scanParts(b *MatcherBank, x []float64, cuts []int) [][]float64 {
+	s := b.Stream()
+	out := make([][]float64, b.Len())
+	collect := func(rows [][]float64) {
+		for i, row := range rows {
+			out[i] = append(out[i], row...)
+		}
+	}
+	prev := 0
+	for _, c := range cuts {
+		collect(s.Feed(x[prev:c]))
+		prev = c
+	}
+	collect(s.Feed(x[prev:]))
+	collect(s.Flush())
+	return out
+}
+
+// refNormalized is the reference normalized correlation the FFT scan is
+// checked against: the direct sliding dot product, divided by the
 // window and template energies.
 func refNormalized(x, h []float64) []float64 {
-	r := xcorrDirect(x, h, false)
+	r := xcorrDirect(x, h)
 	var eh float64
 	for _, v := range h {
 		eh += v * v
 	}
 	normalizeByWindowEnergy(r, x, len(h), eh)
 	return r
+}
+
+// xcorrDirect is the O(len(x)·len(h)) sliding dot product over the valid
+// lags, r[k] = Σ_n x[n+k]·h[n] for k in [0, len(x)-len(h)].
+func xcorrDirect(x, h []float64) []float64 {
+	n := len(x) - len(h) + 1
+	out := make([]float64, n)
+	for k := 0; k < n; k++ {
+		var s float64
+		for n2, hv := range h {
+			s += x[k+n2] * hv
+		}
+		out[k] = s
+	}
+	return out
+}
+
+// normalizeByWindowEnergy divides each correlation lag by
+// sqrt(E_window · eh): the sliding window energy of x times the template
+// energy, in a single rolling pass — two Neumaier-compensated running
+// sums one window apart stand in for a stored prefix array, so window
+// energies stay accurate to rounding however long the stream is.
+// Windows of (near-)zero energy yield 0.
+func normalizeByWindowEnergy(r, x []float64, hlen int, eh float64) {
+	if r == nil {
+		return
+	}
+	if eh == 0 {
+		for i := range r {
+			r[i] = 0
+		}
+		return
+	}
+	const eps = 1e-30
+	var hiS, hiC, loS, loC float64 // leading/trailing edge sums + compensations
+	for _, v := range x[:hlen] {
+		hiS, hiC = neumaierAdd(hiS, hiC, v*v)
+	}
+	for k := range r {
+		ex := (hiS + hiC) - (loS + loC)
+		den := math.Sqrt(ex * eh)
+		if den < eps {
+			r[k] = 0
+		} else {
+			r[k] /= den
+		}
+		if next := k + hlen; next < len(x) {
+			hiS, hiC = neumaierAdd(hiS, hiC, x[next]*x[next])
+		}
+		loS, loC = neumaierAdd(loS, loC, x[k]*x[k])
+	}
 }

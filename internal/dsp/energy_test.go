@@ -1,8 +1,10 @@
 package dsp
 
 import (
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -50,13 +52,12 @@ func (a *exactAccumulator) value() float64 {
 }
 
 // TestCompensatedEnergyMatchesExact10M is the regression test for the
-// Neumaier-compensated energy accumulation in energyPrefix and the
-// rolling pair of sums inside normalizeByWindowEnergy: on a 10^7-sample
-// stream with ~8 decades of dynamic range, the compensated prefix must
-// stay within a few ulps of an exact big.Float reference — where a plain
-// running float64 sum drifts by orders of magnitude more. The window
-// energies are what every normalized correlation divides by, so drift
-// here directly biases late-stream detection scores.
+// Neumaier-compensated energy prefix BankStream normalizes with: on a
+// 10^7-sample stream with ~8 decades of dynamic range, the session's
+// prefix must stay within a few ulps of an exact reference — where a
+// plain running float64 sum drifts by orders of magnitude more. The
+// window energies are what every normalized correlation divides by, so
+// drift here directly biases late-stream detection scores.
 func TestCompensatedEnergyMatchesExact10M(t *testing.T) {
 	const n = 10_000_000
 	r := rand.New(rand.NewSource(64))
@@ -67,16 +68,40 @@ func TestCompensatedEnergyMatchesExact10M(t *testing.T) {
 		x[i] = r.NormFloat64() * math.Pow(10, r.Float64()*8-4)
 	}
 
-	prefix := make([]float64, n+1)
-	energyPrefix(prefix, x)
-
 	// Exact reference (error-free Shewchuk expansion) and a plain float64
-	// sum for the drift comparison, checked at log-spaced probe points.
+	// sum for the drift comparison, checked at log-spaced probe points,
+	// plus the window edges the second half reads.
+	const hlen = 4096
+	nOut := 2_000_000
+	lags := []int{0, 1, 999_999, nOut - 1}
 	probes := map[int]bool{1: true, n: true}
 	for p := 10; p < n; p *= 10 {
 		probes[p] = true
 		probes[p*3] = true
 	}
+	at := maps.Clone(probes)
+	for _, k := range lags {
+		at[k], at[k+hlen] = true, true
+	}
+	positions := slices.Sorted(maps.Keys(at))
+
+	// Feed the stream in audio-buffer-sized chunks that break at each
+	// position: the session's prefix entry for everything fed so far,
+	// pre[bufLen], is then the compensated Σ x² over x[:position]. The
+	// last position is n, so the whole stream goes through the session.
+	s := NewMatcherBank(NewMatcher(randReal(r, hlen))).Stream()
+	prefix := make(map[int]float64, len(positions))
+	prev := 0
+	for _, p := range positions {
+		for prev < p {
+			end := min(p, prev+1<<16)
+			s.Feed(x[prev:end])
+			prev = end
+		}
+		prefix[p] = s.pre[s.bufLen]
+	}
+	s.Flush()
+
 	var exact exactAccumulator
 	var plain float64
 	var worstComp, worstPlain float64
@@ -103,17 +128,16 @@ func TestCompensatedEnergyMatchesExact10M(t *testing.T) {
 	}
 	t.Logf("worst rel err over %d probes: compensated %.3g, plain %.3g", len(probes), worstComp, worstPlain)
 
-	// The rolling two-accumulator pass in normalizeByWindowEnergy must
-	// agree with the compensated prefix to the same standard: feed it an
-	// all-ones correlation so its output exposes the raw window energies.
-	const hlen = 4096
-	nOut := 2_000_000
+	// The rolling two-accumulator pass of the test oracle
+	// normalizeByWindowEnergy must agree with the session's prefix to the
+	// same standard: feed it an all-ones correlation so its output
+	// exposes the raw window energies.
 	ones := make([]float64, nOut)
 	for i := range ones {
 		ones[i] = 1
 	}
 	normalizeByWindowEnergy(ones, x, hlen, 1)
-	for _, k := range []int{0, 1, 999_999, nOut - 1} {
+	for _, k := range lags {
 		ewin := prefix[k+hlen] - prefix[k]
 		want := 1 / math.Sqrt(ewin)
 		if math.Abs(ones[k]-want) > 1e-12*want {

@@ -5,15 +5,17 @@
 // Everything is written against float64/complex128 slices so the receiver
 // pipeline can run allocation-free on hot paths: transforms draw scratch
 // from the package pool, twiddle/bit-reversal tables and Bluestein chirp
-// setups are cached package-wide per size, and correlation functions
-// accept destination buffers.
+// setups are cached package-wide per size, and correlation sessions
+// reuse their emission buffers.
 //
 // Plan computes complex transforms of any length (power-of-two sizes on
 // the shared cached twiddles, others via Bluestein), and RFFT real-input
-// ones at half the cost. Correlation runs through Matcher, which
-// precomputes a template's spectrum once and reuses it for every stream —
-// the receiver's dominant workload — and MatcherBank, which scans one
-// stream for several templates on one shared forward transform.
+// ones at half the cost. Correlation — the receiver's dominant workload —
+// has one scan path: a Matcher holds a template and its spectra, cached
+// once per block length and reused for every stream; a MatcherBank sets
+// the overlap-save block grid for several templates; and a BankStream
+// session, fed the stream in chunks of any size, computes every
+// normalized correlation lag on one shared forward transform per block.
 package dsp
 
 import (

@@ -106,12 +106,12 @@ func TestPackedDIFMatchesDITOrder(t *testing.T) {
 // twiddles, untangle twiddles, fold tables and per-matcher fold spectra
 // — from many goroutines at sizes chosen to collide on first
 // construction. Under -race this proves the double-checked publication
-// in tables.go and Matcher.spectrum.
+// in tables.go and Matcher.spectrum. The two grids put both templates'
+// spectra at blocks 256 and 1024.
 func TestConcurrentKernelTableConstruction(t *testing.T) {
 	sizes := []int{1 << 7, 1 << 9, 1 << 11, 1 << 13}
 	tmpl := randReal(rand.New(rand.NewSource(63)), 96)
-	mt := NewMatcher(tmpl)
-	bank := NewMatcherBank(mt, NewMatcher(tmpl[:80]))
+	banks := bothGrids(NewMatcher(tmpl), NewMatcher(tmpl[:80]))
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -120,16 +120,15 @@ func TestConcurrentKernelTableConstruction(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			for _, n := range sizes {
 				x := randReal(r, n)
-				direct := xcorrDirect(x, tmpl, false)
-				got := mt.correlate(x, false, false)
-				for i := range direct {
-					if math.Abs(got[i]-direct[i]) > 1e-9*(1+math.Abs(direct[i])) {
-						t.Errorf("n=%d lag %d: %g vs direct %g", n, i, got[i], direct[i])
-						return
+				want := refNormalized(x, tmpl)
+				for _, bank := range banks {
+					got := scanParts(bank, x, nil)[0]
+					for i := range want {
+						if math.Abs(got[i]-want[i]) > 1e-9 {
+							t.Errorf("n=%d block=%d lag %d: %g vs direct %g", n, bank.block, i, got[i], want[i])
+							return
+						}
 					}
-				}
-				for _, row := range bank.NormalizedCrossCorrelateAllPooled(x) {
-					PutF64(row)
 				}
 			}
 		}(int64(g))

@@ -70,7 +70,7 @@ func TestPoolConcurrentUse(t *testing.T) {
 }
 
 func TestCorrelateUsesPoolConsistently(t *testing.T) {
-	// FFT path result must match the direct path after pooling.
+	// A session scanning on pooled scratch must match the direct path.
 	x := make([]float64, 700)
 	h := make([]float64, 100)
 	for i := range x {
@@ -79,9 +79,8 @@ func TestCorrelateUsesPoolConsistently(t *testing.T) {
 	for i := range h {
 		h[i] = float64(i%7) - 3
 	}
-	got := NewMatcher(h).correlate(x, false, true)
-	defer PutF64(got)
-	want := xcorrDirect(x, h, false)
+	got := scanParts(NewMatcherBank(NewMatcher(h)), x, nil)[0]
+	want := refNormalized(x, h)
 	for i := range want {
 		if d := got[i] - want[i]; d > 1e-6 || d < -1e-6 {
 			t.Fatalf("lag %d: fft %v direct %v", i, got[i], want[i])

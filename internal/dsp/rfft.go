@@ -8,7 +8,7 @@ import (
 // signal packs into an n/2-point complex transform (adjacent sample pairs
 // as re/im) and one untangle pass recovers the true spectrum, so a real
 // transform costs roughly half its complex counterpart — the reason
-// Matcher and MatcherBank run on this path.
+// BankStream scans on this path.
 //
 // Three spectrum representations exist:
 //

@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"uwpos/internal/stats"
@@ -266,5 +268,38 @@ func TestAblationRestarts(t *testing.T) {
 	m2 := stats.Median(out["restarts=2"])
 	if m2 < m0*0.8 {
 		t.Errorf("restarts reduced found stress: %v vs %v", m2, m0)
+	}
+}
+
+// TestStreamingVerdicts pins the streaming table's result column, the
+// only end-to-end check that chunked detection finds what one-shot
+// detection finds and that the shared ingest pipeline agrees with the
+// receiver's separate scans while paying fewer forward transforms.
+func TestStreamingVerdicts(t *testing.T) {
+	tab := Streaming(quickOpt(1, 1))
+	result := map[string]string{}
+	for _, row := range tab.Rows {
+		result[row[0]] = row[len(row)-1]
+	}
+	var dets int
+	if _, err := fmt.Sscanf(result["detect one-shot"], "%d det", &dets); err != nil || dets < 2 {
+		t.Errorf("one-shot detections %q, want at least 2 (two preambles)", result["detect one-shot"])
+	}
+	if got := result["detect chunked 4096"]; got != "match" {
+		t.Errorf("chunked detection verdict %q, want match", got)
+	}
+	shared := result["receiver shared ingest"]
+	if !strings.HasSuffix(shared, "xf, match") {
+		t.Fatalf("shared ingest verdict %q, want it to end in \"xf, match\"", shared)
+	}
+	var sharedXF, legacyXF int
+	if _, err := fmt.Sscanf(shared, "%d xf", &sharedXF); err != nil {
+		t.Fatalf("shared ingest verdict %q: %v", shared, err)
+	}
+	if _, err := fmt.Sscanf(result["receiver legacy scans"], "%d xf", &legacyXF); err != nil {
+		t.Fatalf("legacy scans verdict %q: %v", result["receiver legacy scans"], err)
+	}
+	if sharedXF >= legacyXF {
+		t.Errorf("shared ingest paid %d forward transforms, legacy %d: want fewer", sharedXF, legacyXF)
 	}
 }

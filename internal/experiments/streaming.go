@@ -49,13 +49,35 @@ func Streaming(opt Options) *stats.Table {
 	add(cal, 350_000, 0.8)
 
 	const chunk = 4096 // typical OS audio-buffer grain, as in sim
+	inChunks := func(push func([]float64)) {
+		for off := 0; off < total; off += chunk {
+			push(stream[off:min(off+chunk, total)])
+		}
+	}
 	det := ranging.NewDetector(p, ranging.DetectorConfig{})
 	reference := det.Detect(stream) // also warms the shared spectra
 
+	// Every scan below runs on a dsp.BankStream session. "Separate" is
+	// three one-template banks, each fed the whole stream; "bank
+	// one-shot" feeds the whole stream to the 3-template bank in one
+	// Feed, the way Detector.Detect scans.
 	bank := dsp.NewMatcherBank(dsp.NewMatcher(pre), dsp.NewMatcher(chirp), dsp.NewMatcher(cal))
-	for _, row := range bank.NormalizedCrossCorrelateAllPooled(stream) {
-		dsp.PutF64(row) // warm the bank-length spectra before timing
+	separate := make([]*dsp.MatcherBank, bank.Len())
+	for i := range separate {
+		separate[i] = dsp.NewMatcherBank(bank.Matcher(i))
 	}
+	scanWhole := func(b *dsp.MatcherBank) {
+		s := b.Stream()
+		s.Feed(stream)
+		s.Flush()
+	}
+	scanSeparate := func() {
+		for _, b := range separate {
+			scanWhole(b)
+		}
+	}
+	scanSeparate() // warm every block-length spectrum before timing
+	scanWhole(bank)
 
 	reps := opt.samples(5)
 	best := func(fn func()) float64 {
@@ -75,13 +97,7 @@ func Streaming(opt Options) *stats.Table {
 	var chunked []ranging.Detection
 	tChunked := best(func() {
 		sd := det.Stream()
-		for off := 0; off < total; off += chunk {
-			end := off + chunk
-			if end > total {
-				end = total
-			}
-			sd.Feed(stream[off:end])
-		}
+		inChunks(sd.Feed)
 		chunked = sd.Flush()
 	})
 	match := len(chunked) == len(reference)
@@ -91,25 +107,11 @@ func Streaming(opt Options) *stats.Table {
 			break
 		}
 	}
-	tSeparate := best(func() {
-		for i := 0; i < bank.Len(); i++ {
-			dsp.PutF64(bank.Matcher(i).NormalizedCrossCorrelatePooled(stream))
-		}
-	})
-	tBank := best(func() {
-		for _, row := range bank.NormalizedCrossCorrelateAllPooled(stream) {
-			dsp.PutF64(row)
-		}
-	})
+	tSeparate := best(scanSeparate)
+	tBank := best(func() { scanWhole(bank) })
 	tBankStream := best(func() {
 		s := bank.Stream()
-		for off := 0; off < total; off += chunk {
-			end := off + chunk
-			if end > total {
-				end = total
-			}
-			s.Feed(stream[off:end])
-		}
+		inChunks(func(c []float64) { s.Feed(c) })
 		s.Flush()
 	})
 
@@ -126,14 +128,17 @@ func Streaming(opt Options) *stats.Table {
 	cat := ranging.NewCAT(chirp, fs, p.BandHighHz-p.BandLowHz)
 	calBank := dsp.NewMatcherBank(dsp.NewMatcher(cal))
 	feed := func(pipe *ingest.Pipeline) {
-		for off := 0; off < total; off += chunk {
-			end := off + chunk
-			if end > total {
-				end = total
-			}
-			pipe.Push(stream[off:end])
-		}
+		inChunks(pipe.Push)
 		pipe.Close()
+	}
+	// scanBaseline scans the stream with a baseline's own single-template
+	// pipeline, as sim scans the baselines; release the plane when done.
+	scanBaseline := func(b *dsp.MatcherBank) *ingest.Collect {
+		pipe := ingest.New(ingest.Config{Bank: b})
+		col := ingest.NewCollect(0, total)
+		pipe.Register(col)
+		feed(pipe)
+		return col
 	}
 	type receiverOut struct {
 		dets       int
@@ -146,21 +151,19 @@ func Streaming(opt Options) *stats.Table {
 		var out receiverOut
 		t0 := dsp.BankForwardTransforms()
 		sd := detNP.Stream()
-		for off := 0; off < total; off += chunk {
-			end := off + chunk
-			if end > total {
-				end = total
-			}
-			sd.Feed(stream[off:end])
-		}
+		inChunks(sd.Feed)
 		out.dets = len(sd.Flush())
 		calPipe := ingest.New(ingest.Config{Bank: calBank})
 		am := ingest.NewArgMax(0)
 		calPipe.Register(am)
 		feed(calPipe)
 		out.calIdx, _ = am.Best()
-		out.bbIdx, _ = bb.Arrival(stream)
-		out.catIdx, _ = cat.Arrival(stream)
+		bbCol := scanBaseline(bb.Bank())
+		out.bbIdx, _ = bb.ArrivalFromCorr(bbCol.Corr())
+		bbCol.Release()
+		catCol := scanBaseline(cat.Bank())
+		out.catIdx, _ = cat.ArrivalFromCorr(catCol.Corr(), stream)
+		catCol.Release()
 		out.transforms = dsp.BankForwardTransforms() - t0
 		return out
 	}

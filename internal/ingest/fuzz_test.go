@@ -9,9 +9,9 @@ import (
 )
 
 // FuzzIngestPipeline fuzzes stream content, buffer-partition points and
-// the consumer set against the one-shot bank scan: every template's
+// the consumer set against the one-chunk bank scan: every template's
 // collected correlation must be bit-identical for any partition, the
-// argmax consumer must agree with a forward scan of the one-shot array,
+// argmax consumer must agree with a forward scan of the one-chunk array,
 // and the forward-transform count must not depend on how many consumers
 // ride the pipeline. Templates are prefixes of the stream itself so the
 // fuzzer controls correlation structure (ties, plateaus, constants)
@@ -33,7 +33,7 @@ func FuzzIngestPipeline(f *testing.F) {
 		h0 := 1 + int(header[0])%(len(x)/2)
 		h1 := 1 + int(header[1])%(len(x)/2)
 		bank := dsp.NewMatcherBank(dsp.NewMatcher(x[:h0]), dsp.NewMatcher(x[:h1]))
-		want := bank.NormalizedCrossCorrelateAllPooled(x)
+		want := scanOneChunk(bank, x)
 
 		// Buffer boundaries straight from the fuzz input: up to 7 cuts,
 		// including empty buffers via repeated cut points.
@@ -79,7 +79,7 @@ func FuzzIngestPipeline(f *testing.F) {
 				}
 			}
 		}
-		// Forward argmax over the one-shot array (strict-greater, first
+		// Forward argmax over the one-chunk array (strict-greater, first
 		// maximum, NaN-proof) must match the streaming consumer.
 		wantBest, wantIdx := 0.0, -1
 		for j, v := range want[0] {
@@ -90,7 +90,7 @@ func FuzzIngestPipeline(f *testing.F) {
 			}
 		}
 		if idx, _ := arg.Best(); idx != wantIdx {
-			t.Fatalf("cuts %v: argmax %d, one-shot %d", cuts, idx, wantIdx)
+			t.Fatalf("cuts %v: argmax %d, one-chunk %d", cuts, idx, wantIdx)
 		}
 		// One forward transform per block, independent of the consumer set:
 		// re-run with a single consumer and compare.

@@ -3,9 +3,17 @@
 // the shape in which OpenSL ES hands a phone its microphone stream — runs
 // the optional band-pass prefilter and exactly one shared dsp.BankStream
 // forward transform per correlation block, and fans the per-template
-// normalized correlation lags out to every registered Consumer. Message
-// detection, calibration argmax and the BeepBeep/CAT baselines all ride
-// the same scan instead of each paying for its own pass over the stream.
+// normalized correlation lags out to every registered Consumer.
+//
+// Message detection, the calibration argmax and the BeepBeep/CAT
+// baselines are all Consumers. In a simulated round each runs its own
+// single-consumer pipeline, because each scans a different span of the
+// stream with a different prefilter and block grid: detection on the
+// low-latency grid behind the band-pass, calibration over the
+// calibration window and the baselines over the reply tail on the
+// throughput grid. Fanning one pipeline out to several consumers, one
+// forward transform per block for all of them, is what the streaming
+// experiment's shared-ingest row measures.
 //
 // An optional Meter measures each buffer's processing time against the
 // buffer's real-time budget (audio duration × a configurable
@@ -30,8 +38,8 @@ import (
 // Config assembles a Pipeline.
 type Config struct {
 	// Bank is the template bank driving the shared scan. Required. The
-	// scan emits window-energy normalized correlation (values in
-	// [-1, 1]), matching MatcherBank.NormalizedCrossCorrelateAllPooled.
+	// pipeline runs one session of it (MatcherBank.Stream), which emits
+	// window-energy normalized correlation (values in [-1, 1]).
 	Bank *dsp.MatcherBank
 	// SampleRate (Hz) converts buffer lengths to audio durations for the
 	// deadline budget. Required when Meter is set; otherwise unused.

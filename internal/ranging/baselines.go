@@ -1,82 +1,47 @@
 package ranging
 
-import (
-	"slices"
-	"sync"
+import "uwpos/internal/dsp"
 
-	"uwpos/internal/dsp"
-)
+// peakFraction is BeepBeep's "specially-designed peak detection": the
+// earliest correlation peak whose height is at least this fraction of
+// the global max wins.
+const peakFraction = 0.8
 
-// templateMatcher lazily maintains a single-template dsp.MatcherBank for
-// a mutable exported template field: the baseline structs expose
-// Template/Sweep publicly (and historically honoured reassignment between
-// Arrival calls), so the bank is rebuilt whenever the template content
-// changes and the whole check is mutex-guarded to keep concurrent Arrival
-// calls safe. The content comparison is O(len) per call — noise next to
-// the correlation it fronts. Running the baselines through the bank keeps
-// them on the same overlap-save scan path a multi-template receiver uses,
-// so callers holding a bigger bank can hand the precomputed correlation
-// straight to ArrivalFromCorr.
-type templateMatcher struct {
-	mu   sync.Mutex
-	bank *dsp.MatcherBank
-}
-
-func (tm *templateMatcher) get(template []float64) *dsp.MatcherBank {
+// newSingleBank builds the one-template bank a baseline scans with, or
+// nil for an empty template: there is nothing to correlate, and
+// ArrivalFromCorr reports ok=false for the empty correlation.
+func newSingleBank(template []float64) *dsp.MatcherBank {
 	if len(template) == 0 {
-		return nil // nothing to correlate: Arrival reports ok=false
+		return nil
 	}
-	tm.mu.Lock()
-	defer tm.mu.Unlock()
-	if tm.bank == nil || !slices.Equal(tm.bank.Matcher(0).Template(), template) {
-		tm.bank = dsp.NewMatcherBank(dsp.NewMatcher(template))
-	}
-	return tm.bank
+	return dsp.NewMatcherBank(dsp.NewMatcher(template))
 }
 
 // BeepBeep is the auto-correlation chirp ranging baseline (Peng et al.,
 // SenSys'07), adapted as in §3.1: a linear chirp template, window-power
 // signal detection and correlation peak picking with a peak-selection rule
 // that prefers the earliest peak within a fraction of the global maximum.
+//
+// The receiver scans its stream with Bank through an ingest.Pipeline,
+// like every other correlation in the system, and hands the collected
+// correlation to ArrivalFromCorr.
 type BeepBeep struct {
-	Template []float64
-	// PeakFraction selects the earliest correlation peak whose height is
-	// at least this fraction of the global max (their "specially-designed
-	// peak detection"). Default 0.8.
-	PeakFraction float64
-
-	matcher templateMatcher // tracks Template
+	bank *dsp.MatcherBank
 }
 
 // NewBeepBeep builds the baseline around a chirp template.
 func NewBeepBeep(template []float64) *BeepBeep {
-	return &BeepBeep{Template: template, PeakFraction: 0.8}
+	return &BeepBeep{bank: newSingleBank(template)}
 }
 
-// Arrival estimates the chirp arrival index in the stream, or ok=false.
-func (b *BeepBeep) Arrival(stream []float64) (idx float64, ok bool) {
-	bank := b.matcher.get(b.Template)
-	if bank == nil {
-		return 0, false
-	}
-	corr := bank.NormalizedCrossCorrelateAllPooled(stream)[0]
-	if corr == nil {
-		return 0, false
-	}
-	defer dsp.PutF64(corr)
-	return b.ArrivalFromCorr(corr)
-}
+// Bank returns the single-template matcher bank built at construction
+// (nil when the template is empty) — the scan target whose per-lag
+// output feeds ArrivalFromCorr.
+func (b *BeepBeep) Bank() *dsp.MatcherBank { return b.bank }
 
-// Bank returns the single-template matcher bank for the current Template
-// (nil when the template is empty) — the scan target for callers driving
-// the baseline through a shared ingest pipeline, whose per-lag output
-// feeds ArrivalFromCorr.
-func (b *BeepBeep) Bank() *dsp.MatcherBank { return b.matcher.get(b.Template) }
-
-// ArrivalFromCorr applies BeepBeep's peak-selection rule to an already
-// computed normalized correlation of the template against the stream —
-// the entry point for callers that scanned several templates in one
-// dsp.MatcherBank pass.
+// ArrivalFromCorr applies BeepBeep's peak-selection rule to the
+// normalized correlation of the template against the stream and returns
+// the chirp arrival index, or ok=false.
 func (b *BeepBeep) ArrivalFromCorr(corr []float64) (idx float64, ok bool) {
 	if len(corr) == 0 {
 		return 0, false
@@ -85,11 +50,7 @@ func (b *BeepBeep) ArrivalFromCorr(corr []float64) (idx float64, ok bool) {
 	if max <= 0 {
 		return 0, false
 	}
-	frac := b.PeakFraction
-	if frac == 0 {
-		frac = 0.8
-	}
-	peaks := dsp.FindPeaks(corr, max*frac)
+	peaks := dsp.FindPeaks(corr, max*peakFraction)
 	if len(peaks) == 0 {
 		return 0, false
 	}
@@ -128,47 +89,31 @@ func (w WindowPowerDetector) Detect(stream []float64) []int {
 
 // CAT is the FMCW ranging baseline (Mao et al., MobiCom'16): the receiver
 // mixes the incoming signal with the transmitted sweep; the beat-frequency
-// peak maps linearly to delay.
+// peak maps linearly to delay. Like BeepBeep it scans with Bank and reads
+// its arrival off the collected correlation with ArrivalFromCorr.
 type CAT struct {
-	Sweep      []float64
-	SampleRate float64
-	BandHz     float64 // swept bandwidth B
-
-	matcher templateMatcher // tracks Sweep
+	sweep  []float64
+	fs     float64 // sample rate, Hz
+	bandHz float64 // swept bandwidth B
+	bank   *dsp.MatcherBank
 }
 
 // NewCAT builds the baseline for a sweep covering bandHz of spectrum.
+// The sweep is read again at every ArrivalFromCorr; do not modify it.
 func NewCAT(sweep []float64, fs, bandHz float64) *CAT {
-	return &CAT{Sweep: sweep, SampleRate: fs, BandHz: bandHz}
+	return &CAT{sweep: sweep, fs: fs, bandHz: bandHz, bank: newSingleBank(sweep)}
 }
 
-// Arrival estimates the sweep arrival index. It first coarse-aligns with
-// correlation (CAT assumes rough sync from its tracking loop), then mixes
-// rx·tx over the overlap and reads the residual delay off the beat
-// spectrum: delay = f_beat · T / B.
-func (c *CAT) Arrival(stream []float64) (idx float64, ok bool) {
-	bank := c.matcher.get(c.Sweep)
-	if bank == nil {
-		return 0, false
-	}
-	corr := bank.NormalizedCrossCorrelateAllPooled(stream)[0]
-	if corr == nil {
-		return 0, false
-	}
-	defer dsp.PutF64(corr)
-	return c.ArrivalFromCorr(corr, stream)
-}
+// Bank returns the single-template matcher bank built at construction
+// (nil when the sweep is empty) — the scan target whose per-lag output
+// feeds ArrivalFromCorr.
+func (c *CAT) Bank() *dsp.MatcherBank { return c.bank }
 
-// Bank returns the single-template matcher bank for the current Sweep
-// (nil when the sweep is empty) — the scan target for callers driving the
-// baseline through a shared ingest pipeline, whose per-lag output feeds
-// ArrivalFromCorr.
-func (c *CAT) Bank() *dsp.MatcherBank { return c.matcher.get(c.Sweep) }
-
-// ArrivalFromCorr runs CAT's mix-and-beat refinement from an already
-// computed normalized correlation of the sweep against the stream — the
-// entry point for callers that scanned several templates in one
-// dsp.MatcherBank pass.
+// ArrivalFromCorr estimates the sweep arrival index from the normalized
+// correlation of the sweep against stream. The correlation peak
+// coarse-aligns (CAT assumes rough sync from its tracking loop); the
+// receiver then mixes rx·tx over the overlap and reads the residual delay
+// off the beat spectrum: delay = f_beat · T / B.
 func (c *CAT) ArrivalFromCorr(corr, stream []float64) (idx float64, ok bool) {
 	if len(corr) == 0 {
 		return 0, false
@@ -184,7 +129,7 @@ func (c *CAT) ArrivalFromCorr(corr, stream []float64) (idx float64, ok bool) {
 	if start < 0 {
 		start = 0
 	}
-	n := len(c.Sweep)
+	n := len(c.sweep)
 	if start+n > len(stream) {
 		n = len(stream) - start
 		if n < 256 {
@@ -195,7 +140,7 @@ func (c *CAT) ArrivalFromCorr(corr, stream []float64) (idx float64, ok bool) {
 	// f_beat = k·d/fs (k = B/T sweep rate in Hz/s).
 	prod := make([]float64, n)
 	for i := 0; i < n; i++ {
-		prod[i] = stream[start+i] * c.Sweep[i]
+		prod[i] = stream[start+i] * c.sweep[i]
 	}
 	// Window to tame leakage, then a real FFT of the padded mix.
 	win := dsp.MakeWindow(dsp.Hann, n)
@@ -210,10 +155,10 @@ func (c *CAT) ArrivalFromCorr(corr, stream []float64) (idx float64, ok bool) {
 	dsp.PutF64(pad)
 	// The beat for residual delays of ±backoff samples stays below
 	// k·backoff·2: restrict the search to suppress audio-band leakage.
-	sweepDur := float64(len(c.Sweep)) / c.SampleRate
-	k := c.BandHz / sweepDur // Hz per second of delay
-	maxBeat := k * (2.5 * backoff / c.SampleRate)
-	maxBin := int(maxBeat / (c.SampleRate / float64(m)))
+	sweepDur := float64(len(c.sweep)) / c.fs
+	k := c.bandHz / sweepDur // Hz per second of delay
+	maxBeat := k * (2.5 * backoff / c.fs)
+	maxBin := int(maxBeat / (c.fs / float64(m)))
 	if maxBin < 4 {
 		maxBin = 4
 	}
@@ -232,7 +177,7 @@ func (c *CAT) ArrivalFromCorr(corr, stream []float64) (idx float64, ok bool) {
 			fb += -0.5 * (mag[bin+1] - mag[bin-1]) / den
 		}
 	}
-	beatHz := fb * c.SampleRate / float64(m)
-	delaySamples := beatHz / k * c.SampleRate
+	beatHz := fb * c.fs / float64(m)
+	delaySamples := beatHz / k * c.fs
 	return float64(start) + delaySamples, true
 }

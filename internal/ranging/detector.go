@@ -106,11 +106,10 @@ func (d *Detector) StreamWith(meter *ingest.Meter) *StreamDetector {
 
 // Consumer opens a detection session in consumer mode, to be registered
 // on an externally built ingest.Pipeline whose bank holds this detector's
-// preamble template at index template. The caller's pipeline must scan
-// normalized correlations and apply the detector's band-pass prefilter
-// itself (or build the detector with DisablePrefilter); the session reads
-// correlation lags and filtered samples from the pipeline instead of
-// owning one.
+// preamble template at index template. The caller's pipeline must apply
+// the detector's band-pass prefilter itself (or build the detector with
+// DisablePrefilter); the session reads correlation lags and filtered
+// samples from the pipeline instead of owning one.
 func (d *Detector) Consumer(template int) *StreamDetector {
 	return newStreamConsumer(d.params, d.cfg, template)
 }

@@ -8,6 +8,7 @@ import (
 	"uwpos/internal/channel"
 	"uwpos/internal/dsp"
 	"uwpos/internal/geom"
+	"uwpos/internal/ingest"
 	"uwpos/internal/sig"
 )
 
@@ -29,6 +30,17 @@ func makeStream(t *testing.T, p sig.Params, at, total int, amp, noiseRMS float64
 		stream[at+i] += amp * v
 	}
 	return stream
+}
+
+// collectCorr scans stream with bank through an ingest pipeline fed in
+// one buffer and returns template 0's normalized correlation.
+func collectCorr(bank *dsp.MatcherBank, stream []float64) []float64 {
+	pipe := ingest.New(ingest.Config{Bank: bank})
+	col := ingest.NewCollect(0, 0)
+	pipe.Register(col)
+	pipe.Push(stream)
+	pipe.Close()
+	return col.Corr()
 }
 
 func TestDetectorFindsCleanPreamble(t *testing.T) {
@@ -72,10 +84,11 @@ func TestDetectorLowSNR(t *testing.T) {
 	}
 }
 
-// TestDetectorPeakInvariance: the Matcher-backed detector must find its
-// candidate peaks at exactly the indices the one-shot reference
-// correlation produces — the precomputed-spectrum path may differ from
-// the reference in low-order bits but never in peak placement.
+// TestDetectorPeakInvariance: the detector must find its candidate peaks
+// at exactly the indices of a reference correlation scanned in one chunk
+// on the throughput (8×) grid. The detector scans on the low-latency
+// (2×) grid, so the two may differ in low-order bits but never in peak
+// placement.
 func TestDetectorPeakInvariance(t *testing.T) {
 	p := testParams()
 	for seed := int64(40); seed < 45; seed++ {
@@ -83,7 +96,7 @@ func TestDetectorPeakInvariance(t *testing.T) {
 		stream := makeStream(t, p, at, 70000, 0.8, 0.05, seed)
 		d := NewDetector(p, DetectorConfig{})
 		filtered := sig.BandLimit(stream, p.BandLowHz, p.BandHighHz, p.SampleRate)
-		ref := dsp.NewMatcher(p.Preamble()).NormalizedCrossCorrelatePooled(filtered)
+		ref := collectCorr(dsp.NewMatcherBank(dsp.NewMatcher(p.Preamble())), filtered)
 		refPeaks := dsp.FindPeaks(ref, 0.15)
 		refIdx := make(map[int]bool, len(refPeaks))
 		for _, pk := range refPeaks {
@@ -381,14 +394,14 @@ func TestBeepBeepArrival(t *testing.T) {
 		stream[at+i] += v
 	}
 	bb := NewBeepBeep(chirp)
-	idx, ok := bb.Arrival(stream)
+	idx, ok := bb.ArrivalFromCorr(collectCorr(bb.Bank(), stream))
 	if !ok {
 		t.Fatal("no arrival")
 	}
 	if math.Abs(idx-at) > 3 {
 		t.Errorf("BeepBeep arrival %g, want %d", idx, at)
 	}
-	if _, ok := bb.Arrival(nil); ok {
+	if _, ok := bb.ArrivalFromCorr(collectCorr(bb.Bank(), nil)); ok {
 		t.Error("nil stream should fail")
 	}
 }
@@ -407,7 +420,7 @@ func TestBeepBeepLocksOntoStrongestPathUnderOcclusion(t *testing.T) {
 		stream[at+echo+i] += 1.0 * v // dominant reflection
 	}
 	bb := NewBeepBeep(chirp)
-	idx, ok := bb.Arrival(stream)
+	idx, ok := bb.ArrivalFromCorr(collectCorr(bb.Bank(), stream))
 	if !ok {
 		t.Fatal("no arrival")
 	}
@@ -429,7 +442,7 @@ func TestCATArrivalClean(t *testing.T) {
 		stream[at+i] += v
 	}
 	cat := NewCAT(sweep, fs, 4000)
-	idx, ok := cat.Arrival(stream)
+	idx, ok := cat.ArrivalFromCorr(collectCorr(cat.Bank(), stream), stream)
 	if !ok {
 		t.Fatal("no arrival")
 	}
@@ -535,19 +548,22 @@ func BenchmarkChannelEstimate(b *testing.B) {
 }
 
 func TestBaselinesEmptyTemplateReturnsFalse(t *testing.T) {
-	// Regression: the bank-backed correlation path must keep the old
-	// graceful ok=false for an empty (or emptied) template rather than
-	// panicking in dsp.NewMatcherBank.
+	// Regression: an empty template must keep the graceful ok=false
+	// rather than panicking in dsp.NewMatcherBank: there is no bank to
+	// scan with, and the empty correlation yields no arrival.
 	stream := make([]float64, 1000)
-	if _, ok := NewBeepBeep(nil).Arrival(stream); ok {
-		t.Error("BeepBeep with empty template must report ok=false")
+	bb := NewBeepBeep(nil)
+	if bb.Bank() != nil {
+		t.Error("BeepBeep with empty template must have no bank")
 	}
-	bb := NewBeepBeep([]float64{1, 2, 3})
-	bb.Template = nil // exported field is documented as mutable
-	if _, ok := bb.Arrival(stream); ok {
-		t.Error("BeepBeep with emptied template must report ok=false")
+	if _, ok := bb.ArrivalFromCorr(nil); ok {
+		t.Error("BeepBeep on an empty correlation must report ok=false")
 	}
-	if _, ok := NewCAT(nil, 44100, 4000).Arrival(stream); ok {
-		t.Error("CAT with empty sweep must report ok=false")
+	cat := NewCAT(nil, 44100, 4000)
+	if cat.Bank() != nil {
+		t.Error("CAT with empty sweep must have no bank")
+	}
+	if _, ok := cat.ArrivalFromCorr(nil, stream); ok {
+		t.Error("CAT on an empty correlation must report ok=false")
 	}
 }

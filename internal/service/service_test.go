@@ -143,6 +143,13 @@ func TestSessionLifecycle(t *testing.T) {
 
 func TestCreateValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
+	// The report phase splits 1–5 kHz into one FSK sub-band per diver;
+	// past 13 divers the tones sit closer than the 100 Hz bit rate, so no
+	// round could serve the group.
+	crowd := make([]map[string]any, 14)
+	for i := range crowd {
+		crowd[i] = map[string]any{"x": 3 * i, "y": 0, "z": 2}
+	}
 	cases := []struct {
 		name  string
 		body  any
@@ -155,6 +162,10 @@ func TestCreateValidation(t *testing.T) {
 			"occluded_links": [][2]int{{0, 7}},
 		}, "OccludedLinks"},
 		{"unknown field", map[string]any{"env": "pool", "diverz": 3}, "body"},
+		{"diver below the bottom", map[string]any{"env": "pool", "divers": []map[string]any{
+			{"x": 0, "y": 0, "z": 1.5}, {"x": 5, "y": 1, "z": 2.0}, {"x": 8, "y": -3, "z": 40},
+		}}, "Divers"},
+		{"group too large for the report phase", map[string]any{"env": "dock", "divers": crowd}, "Divers"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

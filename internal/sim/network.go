@@ -18,6 +18,7 @@ import (
 
 	"uwpos/internal/audio"
 	"uwpos/internal/channel"
+	"uwpos/internal/comm"
 	"uwpos/internal/depth"
 	"uwpos/internal/device"
 	"uwpos/internal/dsp"
@@ -185,6 +186,14 @@ func NewNetwork(cfg Config) (*Network, error) {
 		}
 	}
 	params := sig.DefaultParams()
+	// The FSK report phase gives every device its own sub-band, so a
+	// group too large for the band fails here, before any acoustics.
+	// Lossless-report networks never build the modem.
+	if !cfg.DisableReportBack {
+		if err := comm.NewModem(n, params.SampleRate).Validate(); err != nil {
+			return nil, fmt.Errorf("sim: %d devices: %w", n, err)
+		}
+	}
 	proto := protocol.DefaultParams(n)
 	rng := cfg.Rng
 	var count *countingSource

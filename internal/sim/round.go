@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"uwpos/internal/audio"
 	"uwpos/internal/comm"
@@ -460,10 +459,7 @@ func (nw *Network) assembleTable(res *RoundResult) (*protocol.Table, error) {
 func (nw *Network) reportBack(res *RoundResult, table *protocol.Table) error {
 	n := nw.N()
 	fs := nw.params.SampleRate
-	modem := comm.NewModem(n, fs)
-	if err := modem.Validate(); err != nil {
-		return err
-	}
+	modem := comm.NewModem(n, fs) // validated by NewNetwork
 	// Each replying device transmits its report in its sub-band.
 	for _, d := range nw.devices[1:] {
 		if d.txIndex < 0 {
@@ -647,26 +643,13 @@ func (nw *Network) measureLatency() float64 {
 	return last - t0 + nw.proto.TPacket
 }
 
-// calibrationMatcher returns the process-wide matched filter for the
+// calibrationBank builds the single-template bank calibrateAll scans
+// with. Its matcher is the process-wide sig.SharedMatcher for the
 // self-calibration chirp: the waveform and its spectra are pure functions
 // of the Params, so every trial and every engine worker share one
-// precomputed matcher instead of re-transforming the chirp per round.
-func calibrationMatcher(p sig.Params) *dsp.Matcher {
-	return sig.SharedMatcher("calibration", p, func(p sig.Params) []float64 {
-		return p.CalibrationSignal(0)
-	})
-}
-
-// calibrationBanks caches the process-wide single-template MatcherBank
-// around calibrationMatcher per numerology; calibrateAll opens one cheap
-// streaming session per device round against it.
-var calibrationBanks sync.Map // sig.Params.Key() -> *dsp.MatcherBank
-
+// precomputed matcher, and the bank around it costs one small struct.
 func calibrationBank(p sig.Params) *dsp.MatcherBank {
-	k := p.Key()
-	if v, ok := calibrationBanks.Load(k); ok {
-		return v.(*dsp.MatcherBank)
-	}
-	v, _ := calibrationBanks.LoadOrStore(k, dsp.NewMatcherBank(calibrationMatcher(p)))
-	return v.(*dsp.MatcherBank)
+	return dsp.NewMatcherBank(sig.SharedMatcher("calibration", p, func(p sig.Params) []float64 {
+		return p.CalibrationSignal(0)
+	}))
 }

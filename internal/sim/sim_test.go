@@ -64,6 +64,31 @@ func TestNewNetworkRejectsNonFinitePosition(t *testing.T) {
 	}
 }
 
+// TestNewNetworkRejectsGroupTooLargeForReports: the report phase gives
+// each device an FSK sub-band of (5000 − 1000 Hz) / N, and its three
+// tones need 100 Hz each, so N ≤ 13. A larger group fails construction
+// unless report-back is off, since lossless-report networks never build
+// the modem.
+func TestNewNetworkRejectsGroupTooLargeForReports(t *testing.T) {
+	group := func(n int, lossless bool) Config {
+		cfg := Config{Env: channel.Dock(), Seed: 1, DisableReportBack: lossless}
+		for i := 0; i < n; i++ {
+			cfg.Devices = append(cfg.Devices, DeviceSpec{Model: device.GalaxyS9(), Pos: geom.Vec3{X: float64(3 * i), Z: 2}})
+		}
+		return cfg
+	}
+	if _, err := NewNetwork(group(13, false)); err != nil {
+		t.Errorf("13 devices: %v", err)
+	}
+	_, err := NewNetwork(group(14, false))
+	if err == nil || !strings.Contains(err.Error(), "sub-band too narrow") {
+		t.Errorf("14 devices with report-back: error %v, want the modem's sub-band check", err)
+	}
+	if _, err := NewNetwork(group(14, true)); err != nil {
+		t.Errorf("14 devices with lossless reports: %v", err)
+	}
+}
+
 func TestTrajectories(t *testing.T) {
 	lin := Linear(geom.Vec3{X: 1}, geom.Vec3{X: 2})
 	if p := lin(3); math.Abs(p.X-7) > 1e-12 {

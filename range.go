@@ -3,6 +3,7 @@ package uwpos
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"uwpos/internal/sim"
 )
@@ -40,8 +41,11 @@ func RangeBetween(ctx context.Context, cfg RangeConfig) (RangeOutcome, error) {
 	if cfg.Env == nil {
 		return RangeOutcome{}, ConfigError{Field: "Env", Reason: "nil environment"}
 	}
-	if cfg.SeparationM <= 0 {
-		return RangeOutcome{}, configErrf("SeparationM", "must be positive, got %g", cfg.SeparationM)
+	if err := cfg.Env.Validate(); err != nil {
+		return RangeOutcome{}, ConfigError{Field: "Env", Reason: err.Error()}
+	}
+	if !(cfg.SeparationM > 0) || math.IsInf(cfg.SeparationM, 1) {
+		return RangeOutcome{}, configErrf("SeparationM", "must be positive and finite, got %g", cfg.SeparationM)
 	}
 	if cfg.DepthAM == 0 {
 		cfg.DepthAM = 2.5
@@ -54,7 +58,9 @@ func RangeBetween(ctx context.Context, cfg RangeConfig) (RangeOutcome, error) {
 	}
 	nw, err := sim.NewNetwork(sim.TwoDeviceConfig(cfg.Env, cfg.SeparationM, cfg.DepthAM, cfg.DepthBM, cfg.Seed))
 	if err != nil {
-		return RangeOutcome{}, err
+		// Env and SeparationM are valid, so the network rejected a depth
+		// (device 0 is A, device 1 is B).
+		return RangeOutcome{}, ConfigError{Field: "DepthAM/DepthBM", Reason: err.Error()}
 	}
 	res, err := nw.RangeOnce(ctx, sim.MethodDualMic)
 	if err != nil {

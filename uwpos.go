@@ -170,6 +170,9 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	if cfg.Env == nil {
 		return nil, ConfigError{Field: "Env", Reason: "nil environment"}
 	}
+	if err := cfg.Env.Validate(); err != nil {
+		return nil, ConfigError{Field: "Env", Reason: err.Error()}
+	}
 	if len(cfg.Divers) < 3 {
 		return nil, fmt.Errorf("%w (got %d); with two, use RangeBetween", ErrTooFewDivers, len(cfg.Divers))
 	}
@@ -203,7 +206,10 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 	}
 	nw, err := sim.NewNetwork(nwCfg)
 	if err != nil {
-		return nil, err
+		// The environment is valid, so the network rejected the divers:
+		// a position outside the water column, a group too large for
+		// the report phase, or a link naming no diver.
+		return nil, ConfigError{Field: "Divers", Reason: err.Error()}
 	}
 	return &System{cfg: cfg, network: nw, bearing: bearing}, nil
 }
