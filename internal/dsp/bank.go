@@ -176,12 +176,19 @@ func (s *BankStream) Feed(chunk []float64) [][]float64 {
 	for i := range s.emit {
 		s.emit[i] = s.emit[i][:0]
 	}
-	for s.bufLen >= s.bank.block {
-		s.runBlock(func(int) int { return s.bank.hop })
-		copy(s.buf, s.buf[s.bank.hop:s.bufLen])
-		copy(s.pre, s.pre[s.bank.hop:s.bufLen+1])
-		s.bufLen -= s.bank.hop
-		s.start += s.bank.hop
+	// Run every whole block from its offset into the buffer, then move the
+	// unconsumed tail down once: a chunk of n samples copies O(n) floats,
+	// not one buffer's worth per block.
+	off := 0
+	for s.bufLen-off >= s.bank.block {
+		s.runBlock(off, func(int) int { return s.bank.hop })
+		off += s.bank.hop
+	}
+	if off > 0 {
+		copy(s.buf, s.buf[off:s.bufLen])
+		copy(s.pre, s.pre[off:s.bufLen+1])
+		s.bufLen -= off
+		s.start += off
 	}
 	return s.emit
 }
@@ -209,7 +216,7 @@ func (s *BankStream) Flush() [][]float64 {
 		if !more {
 			break
 		}
-		s.runBlock(func(i int) int {
+		s.runBlock(0, func(i int) int {
 			take := s.fed - s.bank.ms[i].TemplateLen() + 1 - s.start
 			if take > s.bank.hop {
 				take = s.bank.hop
@@ -237,17 +244,17 @@ func (s *BankStream) Flush() [][]float64 {
 	return s.emit
 }
 
-// runBlock transforms the current block (buffered samples zero-padded to
-// the block length) once and appends take(i) lags to each template's
-// emission buffer. take(i) ≤ hop; non-positive takes skip the template's
-// inverse transform entirely.
-func (s *BankStream) runBlock(take func(i int) int) {
-	n := s.bufLen
+// runBlock transforms the block that starts off samples into the buffer
+// (buffered samples zero-padded to the block length) once and appends
+// take(i) lags to each template's emission buffer. take(i) ≤ hop;
+// non-positive takes skip the template's inverse transform entirely.
+func (s *BankStream) runBlock(off int, take func(i int) int) {
+	n := s.bufLen - off
 	if n > s.bank.block {
 		n = s.bank.block
 	}
 	hm := s.bank.block / 2
-	rfftPacked(s.fxre, s.fxim, s.buf[:n])
+	rfftPacked(s.fxre, s.fxim, s.buf[off:off+n])
 	bankForwardCount.Add(1)
 	for i, mt := range s.bank.ms {
 		t := take(i)
@@ -257,7 +264,7 @@ func (s *BankStream) runBlock(take func(i int) int) {
 		foldSpecMulTo(s.zre, s.zim, s.fxre, s.fxim, mt.spectrum(s.bank.block), s.bank.block)
 		fftSoA(s.zre, s.zim, true)
 		interleaveScaled(s.work[:t], s.zre, s.zim, hm)
-		normalizeWithPrefix(s.work[:t], s.pre, mt.TemplateLen(), mt.energy)
+		normalizeWithPrefix(s.work[:t], s.pre[off:], mt.TemplateLen(), mt.energy)
 		s.emit[i] = append(s.emit[i], s.work[:t]...)
 	}
 }

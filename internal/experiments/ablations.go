@@ -18,6 +18,10 @@ import (
 // The ablations quantify the system's design choices. They are not paper
 // figures; they justify implementation decisions with data.
 
+// accAblationBandWindow compares the channel-estimator band taper: Hann
+// (the default: −31 dB sidelobes, a wider main lobe) against rectangular
+// (−13 dB sidelobes that the λ=0.2 direct-path test can mistake for early
+// arrivals).
 func accAblationBandWindow(opt Options, p *Partial, pre string) {
 	trials := opt.samples(40)
 	pr := sig.DefaultParams()
@@ -85,33 +89,21 @@ func accAblationBandWindow(opt Options, p *Partial, pre string) {
 	})
 }
 
-func renderAblationBandWindow(_ Options, p *Partial, pre string) (map[string][]float64, *stats.Table) {
+func renderAblationBandWindow(_ Options, p *Partial, pre string) *stats.Table {
 	table := &stats.Table{
 		ID:     "ablation-bandwindow",
 		Title:  "channel-estimate band taper: Hann vs rectangular",
 		Paper:  "(design choice, DESIGN.md §3.2 — not a paper figure)",
 		Header: []string{"window", "median err (m)", "95th (m)", "n"},
 	}
-	out := make(map[string][]float64)
 	for _, k := range []string{"hann", "rectangular"} {
 		sk := p.Sketch(pre + "ablation-bandwindow/" + k)
-		out[k] = sk.Values()
 		qs := sk.Quantiles(50, 95)
 		table.Rows = append(table.Rows, []string{
 			k, stats.F(qs[0]), stats.F(qs[1]), stats.F(float64(sk.Count())),
 		})
 	}
-	return out, table
-}
-
-// AblationBandWindow compares the channel-estimator band taper: Hann
-// (default, −31 dB sidelobes, wider main lobe) against rectangular
-// (−13 dB sidelobes that the λ=0.2 direct-path test can mistake for early
-// arrivals).
-func AblationBandWindow(opt Options) (map[string][]float64, *stats.Table) {
-	p := NewPartial()
-	accAblationBandWindow(opt, p, "")
-	return renderAblationBandWindow(opt, p, "")
+	return table
 }
 
 func accAblationPrefilter(opt Options, p *Partial, pre string) {
@@ -147,34 +139,25 @@ func accAblationPrefilter(opt Options, p *Partial, pre string) {
 	})
 }
 
-func renderAblationPrefilter(opt Options, p *Partial, pre string) (map[string]float64, *stats.Table) {
-	trials := opt.samples(60)
+func renderAblationPrefilter(opt Options, p *Partial, pre string) *stats.Table {
 	key := pre + "ablation-prefilter"
-	rates := map[string]float64{
-		"with prefilter":    float64(p.Counter(key+"/on")) / float64(trials),
-		"without prefilter": float64(p.Counter(key+"/off")) / float64(trials),
+	rate := func(counter string) string {
+		return stats.F(float64(p.Counter(key+counter)) / float64(opt.samples(60)))
 	}
-	table := &stats.Table{
+	return &stats.Table{
 		ID:     "ablation-prefilter",
 		Title:  "detection rate at −6 dB wideband SNR: prefilter on vs off",
 		Paper:  "(design choice — the validation stage needs in-band SNR)",
 		Header: []string{"variant", "detection rate"},
 		Rows: [][]string{
-			{"with prefilter", stats.F(rates["with prefilter"])},
-			{"without prefilter", stats.F(rates["without prefilter"])},
+			{"with prefilter", rate("/on")},
+			{"without prefilter", rate("/off")},
 		},
 	}
-	return rates, table
 }
 
-// AblationPrefilter measures the in-band prefilter's effect on detection
-// at marginal SNR.
-func AblationPrefilter(opt Options) (map[string]float64, *stats.Table) {
-	p := NewPartial()
-	accAblationPrefilter(opt, p, "")
-	return renderAblationPrefilter(opt, p, "")
-}
-
+// accAblationRestarts measures what SMACOF restarts are worth on
+// outlier-bearing problems: escaping deceptive local minima.
 func accAblationRestarts(opt Options, p *Partial, pre string) {
 	trials := opt.samples(80)
 	sks := map[string]*stats.Sketch{
@@ -244,31 +227,20 @@ func accAblationRestarts(opt Options, p *Partial, pre string) {
 	})
 }
 
-func renderAblationRestarts(_ Options, p *Partial, pre string) (map[string][]float64, *stats.Table) {
+func renderAblationRestarts(_ Options, p *Partial, pre string) *stats.Table {
 	table := &stats.Table{
 		ID:     "ablation-restarts",
 		Title:  "SMACOF restarts on outlier-bearing problems (normalized stress found)",
 		Paper:  "(design choice — higher stress found = better outlier detectability)",
 		Header: []string{"variant", "median stress (m)", "5th pct (m)"},
 	}
-	out := make(map[string][]float64)
 	for _, k := range []string{"restarts=0", "restarts=2"} {
-		sk := p.Sketch(pre + "ablation-restarts/" + k)
-		out[k] = sk.Values()
-		qs := sk.Quantiles(50, 5)
+		qs := p.Sketch(pre+"ablation-restarts/"+k).Quantiles(50, 5)
 		table.Rows = append(table.Rows, []string{
 			k, stats.F(qs[0]), stats.F(qs[1]),
 		})
 	}
-	return out, table
-}
-
-// AblationRestarts measures SMACOF restart value on outlier-bearing
-// problems (escaping deceptive local minima).
-func AblationRestarts(opt Options) (map[string][]float64, *stats.Table) {
-	p := NewPartial()
-	accAblationRestarts(opt, p, "")
-	return renderAblationRestarts(opt, p, "")
+	return table
 }
 
 var ablRBVariants = []struct {
@@ -301,30 +273,19 @@ func accAblationReportBack(opt Options, p *Partial, pre string) {
 	}
 }
 
-func renderAblationReportBack(_ Options, p *Partial, pre string) (map[string][]float64, *stats.Table) {
+func renderAblationReportBack(_ Options, p *Partial, pre string) *stats.Table {
 	table := &stats.Table{
 		ID:     "ablation-reportback",
 		Title:  "2D error: full report-back comm vs lossless timestamps",
 		Paper:  "(design cost of §2.4: 2-sample quantization + FSK + coding)",
 		Header: []string{"variant", "median (m)", "95th (m)", "n"},
 	}
-	out := make(map[string][]float64)
 	for _, variant := range ablRBVariants {
 		sk := p.Sketch(pre + "ablation-reportback/" + variant.name)
-		out[variant.name] = sk.Values()
 		qs := sk.Quantiles(50, 95)
 		table.Rows = append(table.Rows, []string{
 			variant.name, stats.F(qs[0]), stats.F(qs[1]), stats.F(float64(sk.Count())),
 		})
 	}
-	return out, table
-}
-
-// AblationReportBack compares full §2.4 comm (quantization + FSK + coding
-// + CRC) against lossless timestamp delivery, isolating what the
-// communication system costs in 2D accuracy.
-func AblationReportBack(opt Options) (map[string][]float64, *stats.Table) {
-	p := NewPartial()
-	accAblationReportBack(opt, p, "")
-	return renderAblationReportBack(opt, p, "")
+	return table
 }

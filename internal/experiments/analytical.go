@@ -2,9 +2,9 @@
 // evaluation (§2.1.5 and §3). One ordered registry (Experiments) lists
 // every experiment with its accumulate half, which runs trials into a
 // mergeable Partial, and its render half, which turns a Partial into a
-// printable stats.Table; cmd/uwbench runs every id through Accumulate
-// then RenderPartial. The exported FigXX functions run the same two
-// halves and also return the raw series, for tests and benches.
+// printable stats.Table. Every run — cmd/uwbench, a sharded sweep, a
+// test or a bench — goes through Accumulate then RenderPartial, and reads
+// results from the table or the Partial's sketches and counters.
 //
 // Absolute values depend on our simulated water bodies rather than Lake
 // Union; each table's paper line states the paper's figure beside it.
@@ -259,131 +259,84 @@ func accMeanOverTrials(opt Options, p *Partial, key string, salt int64, n, trial
 	})
 }
 
-// fig06Points reads the per-sweep-point means of one §2.1.5 sweep back
-// out of a Partial.
-func fig06Points(p *Partial, pre, id string, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = p.Sketch(pre + id + "/" + ik(i)).Mean()
+// The §2.1.5 sweeps: each point's trials stream into its own sketch,
+// keyed by the figure id and the point's index.
+var (
+	fig06aErrs  = []float64{0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0}
+	fig06bUsers = []float64{3, 4, 5, 6, 7, 8}
+	fig06cDegs  = []float64{0, 2.5, 5, 7.5, 10, 12.5, 15, 17.5, 20}
+	fig06dDrops = []float64{0, 1, 2, 3}
+)
+
+// fig06Table appends one row per sweep point to a §2.1.5 table: the
+// point's x value beside the mean of its sketch.
+func fig06Table(p *Partial, pre string, xs []float64, table *stats.Table) *stats.Table {
+	for i, x := range xs {
+		table.Rows = append(table.Rows, []string{stats.F(x), stats.F(p.Sketch(pre + table.ID + "/" + ik(i)).Mean())})
 	}
-	return out
+	return table
 }
 
 func accFig06a(opt Options, p *Partial, pre string) {
 	trials := opt.samples(200)
-	sweep := []float64{0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0}
-	for i, e := range sweep {
+	for i, e := range fig06aErrs {
 		accMeanOverTrials(opt, p, pre+"fig06a/"+ik(i), saltFig06a+int64(i), 6, trials, e, 0.4, 0, 0)
 	}
 }
 
-func renderFig06a(_ Options, p *Partial, pre string) ([]float64, *stats.Table) {
-	sweep := []float64{0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0}
-	out := fig06Points(p, pre, "fig06a", len(sweep))
-	table := &stats.Table{
+func renderFig06a(_ Options, p *Partial, pre string) *stats.Table {
+	return fig06Table(p, pre, fig06aErrs, &stats.Table{
 		ID:     "fig06a",
 		Title:  "mean 2D error vs 1D ranging error (N=6, εh=0.4 m)",
 		Paper:  "roughly linear growth; ~1 m error at ε1d≈0.8–1.0 m, ~3–4 m at ε1d=2 m",
 		Header: []string{"ε1d (m)", "mean 2D err (m)"},
-	}
-	for i, e := range sweep {
-		table.Rows = append(table.Rows, []string{stats.F(e), stats.F(out[i])})
-	}
-	return out, table
-}
-
-// Fig06a sweeps the 1D ranging error (Fig. 6a): mean 2D error vs ε_1d,
-// N=6, ε_h=0.4 m, ε_θ=0.
-func Fig06a(opt Options) ([]float64, *stats.Table) {
-	p := NewPartial()
-	accFig06a(opt, p, "")
-	return renderFig06a(opt, p, "")
+	})
 }
 
 func accFig06b(opt Options, p *Partial, pre string) {
 	trials := opt.samples(200)
-	for i, n := range []int{3, 4, 5, 6, 7, 8} {
-		accMeanOverTrials(opt, p, pre+"fig06b/"+ik(i), saltFig06b+int64(i), n, trials, 0.8, 0.4, 0, 0)
+	for i, n := range fig06bUsers {
+		accMeanOverTrials(opt, p, pre+"fig06b/"+ik(i), saltFig06b+int64(i), int(n), trials, 0.8, 0.4, 0, 0)
 	}
 }
 
-func renderFig06b(_ Options, p *Partial, pre string) ([]float64, *stats.Table) {
-	ns := []int{3, 4, 5, 6, 7, 8}
-	out := fig06Points(p, pre, "fig06b", len(ns))
-	table := &stats.Table{
+func renderFig06b(_ Options, p *Partial, pre string) *stats.Table {
+	return fig06Table(p, pre, fig06bUsers, &stats.Table{
 		ID:     "fig06b",
 		Title:  "mean 2D error vs number of users (ε1d=0.8, εh=0.4)",
 		Paper:  "error decreases as N grows (≈2 m at N=3 down to <1 m at N=8)",
 		Header: []string{"N", "mean 2D err (m)"},
-	}
-	for i, n := range ns {
-		table.Rows = append(table.Rows, []string{stats.F(float64(n)), stats.F(out[i])})
-	}
-	return out, table
-}
-
-// Fig06b sweeps the number of users (Fig. 6b): ε1d=0.8, εh=0.4.
-func Fig06b(opt Options) ([]float64, *stats.Table) {
-	p := NewPartial()
-	accFig06b(opt, p, "")
-	return renderFig06b(opt, p, "")
+	})
 }
 
 func accFig06c(opt Options, p *Partial, pre string) {
 	trials := opt.samples(200)
-	degs := []float64{0, 2.5, 5, 7.5, 10, 12.5, 15, 17.5, 20}
-	for i, dg := range degs {
+	for i, dg := range fig06cDegs {
 		accMeanOverTrials(opt, p, pre+"fig06c/"+ik(i), saltFig06c+int64(i), 6, trials, 0.8, 0.4, geom.Deg2Rad(dg), 0)
 	}
 }
 
-func renderFig06c(_ Options, p *Partial, pre string) ([]float64, *stats.Table) {
-	degs := []float64{0, 2.5, 5, 7.5, 10, 12.5, 15, 17.5, 20}
-	out := fig06Points(p, pre, "fig06c", len(degs))
-	table := &stats.Table{
+func renderFig06c(_ Options, p *Partial, pre string) *stats.Table {
+	return fig06Table(p, pre, fig06cDegs, &stats.Table{
 		ID:     "fig06c",
 		Title:  "mean 2D error vs orientation error (N=6, ε1d=0.8, εh=0.4)",
 		Paper:  "grows with pointing error: ~1 m at 0° to ~2.5–3 m at 20°",
 		Header: []string{"εθ (deg)", "mean 2D err (m)"},
-	}
-	for i, dg := range degs {
-		table.Rows = append(table.Rows, []string{stats.F(dg), stats.F(out[i])})
-	}
-	return out, table
-}
-
-// Fig06c sweeps the pointing error (Fig. 6c): N=6, ε1d=0.8, εh=0.4.
-func Fig06c(opt Options) ([]float64, *stats.Table) {
-	p := NewPartial()
-	accFig06c(opt, p, "")
-	return renderFig06c(opt, p, "")
+	})
 }
 
 func accFig06d(opt Options, p *Partial, pre string) {
 	trials := opt.samples(200)
-	for i, k := range []int{0, 1, 2, 3} {
-		accMeanOverTrials(opt, p, pre+"fig06d/"+ik(i), saltFig06d+int64(i), 6, trials, 0.8, 0.4, 0, k)
+	for i, k := range fig06dDrops {
+		accMeanOverTrials(opt, p, pre+"fig06d/"+ik(i), saltFig06d+int64(i), 6, trials, 0.8, 0.4, 0, int(k))
 	}
 }
 
-func renderFig06d(_ Options, p *Partial, pre string) ([]float64, *stats.Table) {
-	drops := []int{0, 1, 2, 3}
-	out := fig06Points(p, pre, "fig06d", len(drops))
-	table := &stats.Table{
+func renderFig06d(_ Options, p *Partial, pre string) *stats.Table {
+	return fig06Table(p, pre, fig06dDrops, &stats.Table{
 		ID:     "fig06d",
 		Title:  "mean 2D error vs dropped links (N=6, ε1d=0.8, εh=0.4)",
 		Paper:  "mild growth with dropped links (~1 m at 0 to ~1.5–2 m at 3)",
 		Header: []string{"dropped links", "mean 2D err (m)"},
-	}
-	for i, k := range drops {
-		table.Rows = append(table.Rows, []string{stats.F(float64(k)), stats.F(out[i])})
-	}
-	return out, table
-}
-
-// Fig06d sweeps dropped links (Fig. 6d): N=6, ε1d=0.8, εh=0.4, εθ=0.
-func Fig06d(opt Options) ([]float64, *stats.Table) {
-	p := NewPartial()
-	accFig06d(opt, p, "")
-	return renderFig06d(opt, p, "")
+	})
 }

@@ -17,8 +17,18 @@ func quickOpt(seed int64, samples int) Options {
 	return Options{Seed: seed, Samples: samples}
 }
 
+// sweepMeans reads the per-point means of one §2.1.5 sweep.
+func sweepMeans(p *Partial, id string, n int) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = p.Sketch(id + "/" + ik(i)).Mean()
+	}
+	return out
+}
+
 func TestFig06aMonotone(t *testing.T) {
-	vals, tab := Fig06a(quickOpt(1, 40))
+	p, tab := runFull(t, "fig06a", quickOpt(1, 40))
+	vals := sweepMeans(p, "fig06a", len(fig06aErrs))
 	if len(tab.Rows) != len(vals) {
 		t.Fatal("row mismatch")
 	}
@@ -33,7 +43,8 @@ func TestFig06aMonotone(t *testing.T) {
 }
 
 func TestFig06bMoreUsersHelp(t *testing.T) {
-	vals, _ := Fig06b(quickOpt(2, 40))
+	p, _ := runFull(t, "fig06b", quickOpt(2, 40))
+	vals := sweepMeans(p, "fig06b", len(fig06bUsers))
 	// N=3 must be clearly worse than N=8.
 	if !(vals[0] > vals[len(vals)-1]*1.3) {
 		t.Errorf("more users did not help: %v", vals)
@@ -41,14 +52,16 @@ func TestFig06bMoreUsersHelp(t *testing.T) {
 }
 
 func TestFig06cPointingErrorHurts(t *testing.T) {
-	vals, _ := Fig06c(quickOpt(3, 40))
+	p, _ := runFull(t, "fig06c", quickOpt(3, 40))
+	vals := sweepMeans(p, "fig06c", len(fig06cDegs))
 	if !(vals[len(vals)-1] > vals[0]*1.3) {
 		t.Errorf("pointing error had no effect: %v", vals)
 	}
 }
 
 func TestFig06dDropsDegradeGracefully(t *testing.T) {
-	vals, _ := Fig06d(quickOpt(4, 40))
+	p, _ := runFull(t, "fig06d", quickOpt(4, 40))
+	vals := sweepMeans(p, "fig06d", len(fig06dDrops))
 	// Mild growth: 3 drops worse than 0 drops, but not catastrophic.
 	if !(vals[3] >= vals[0]) {
 		t.Errorf("drops should not improve accuracy: %v", vals)
@@ -59,9 +72,9 @@ func TestFig06dDropsDegradeGracefully(t *testing.T) {
 }
 
 func TestFig13bSensorOrdering(t *testing.T) {
-	out, _ := Fig13b(quickOpt(5, 20))
-	watch := stats.Mean(out["watch"])
-	phone := stats.Mean(out["phone"])
+	p, _ := runFull(t, "fig13b", quickOpt(5, 20))
+	watch := stats.Mean(p.Sketch("fig13b/0").Values())
+	phone := stats.Mean(p.Sketch("fig13b/1").Values())
 	if !(watch < phone) {
 		t.Errorf("watch %v should beat phone %v", watch, phone)
 	}
@@ -73,17 +86,21 @@ func TestFig13bSensorOrdering(t *testing.T) {
 }
 
 func TestFig16MeanNearFiveDegrees(t *testing.T) {
-	mean, tab := Fig16(quickOpt(6, 150))
+	p, tab := runFull(t, "fig16", quickOpt(6, 150))
 	if len(tab.Rows) != 2 {
 		t.Fatal("want 2 users")
 	}
+	// Each user's sketch holds the per-distance means, then the user's
+	// grand mean at index len(fig16Dists).
+	g := len(fig16Dists)
+	mean := (p.Sketch("fig16/u0").Values()[g] + p.Sketch("fig16/u1").Values()[g]) / 2
 	if mean < 3 || mean > 7 {
 		t.Errorf("grand mean %.2f°, want ≈5°", mean)
 	}
 }
 
 func TestBatteryTable(t *testing.T) {
-	tab := Battery(Options{})
+	_, tab := runFull(t, "battery", Options{})
 	if len(tab.Rows) != 2 {
 		t.Fatal("want 2 devices")
 	}
@@ -97,23 +114,24 @@ func TestBatteryTable(t *testing.T) {
 }
 
 func TestFig22SNRFallsWithDistance(t *testing.T) {
-	out, _ := Fig22(Options{Seed: 7})
-	mean := func(d float64) float64 {
-		var s float64
-		var n int
-		for _, pt := range out[d] {
-			if !math.IsInf(pt.SNRDB, 0) {
-				s += pt.SNRDB
-				n++
+	p, _ := runFull(t, "fig22", Options{Seed: 7})
+	// Distance i of fig22Dists (10, 20, 28 m) keeps its subcarrier SNRs
+	// in sketch fig22/i/snr.
+	snrs := func(i int) []float64 {
+		var out []float64
+		for _, v := range p.Sketch("fig22/" + ik(i) + "/snr").Values() {
+			if !math.IsInf(v, 0) {
+				out = append(out, v)
 			}
 		}
-		return s / float64(n)
+		return out
 	}
-	if len(out[10]) == 0 || len(out[28]) == 0 {
+	at10, at28 := snrs(0), snrs(2)
+	if len(at10) == 0 || len(at28) == 0 {
 		t.Skip("detection miss in quick run")
 	}
-	if !(mean(10) > mean(28)+5) {
-		t.Errorf("SNR should fall ≥5 dB from 10 m to 28 m: %v vs %v", mean(10), mean(28))
+	if !(stats.Mean(at10) > stats.Mean(at28)+5) {
+		t.Errorf("SNR should fall ≥5 dB from 10 m to 28 m: %v vs %v", stats.Mean(at10), stats.Mean(at28))
 	}
 }
 
@@ -121,24 +139,31 @@ func TestFig12aOursBeatsFMCW(t *testing.T) {
 	if testing.Short() {
 		t.Skip("acoustic detection study")
 	}
-	ours, fmcw, _ := Fig12a(quickOpt(8, 20))
-	if ours.FPRatio > 0.15 || ours.FNRatio > 0.15 {
-		t.Errorf("our detector degraded: %+v", ours)
+	opt := quickOpt(8, 20)
+	p, _ := runFull(t, "fig12a", opt)
+	ratio := func(counter string) float64 {
+		return float64(p.Counter("fig12a/"+counter)) / float64(opt.samples(60))
+	}
+	oursFP, oursFN := ratio("oursFP"), ratio("oursFN")
+	if oursFP > 0.15 || oursFN > 0.15 {
+		t.Errorf("our detector degraded: FP %v FN %v", oursFP, oursFN)
 	}
 	// The FMCW detector must show the FP/FN trade: high FP at low
 	// thresholds or high FN at high ones — no threshold achieves both
 	// error rates at our level simultaneously.
-	bothGood := false
-	for _, c := range fmcw {
-		if c.FPRatio <= ours.FPRatio+0.05 && c.FNRatio <= ours.FNRatio+0.05 {
-			bothGood = true
+	var fp, fn []float64
+	for i := range fig12aThresholds {
+		fp = append(fp, ratio("fp/"+ik(i)))
+		fn = append(fn, ratio("fn/"+ik(i)))
+	}
+	for i := range fp {
+		if fp[i] <= oursFP+0.05 && fn[i] <= oursFN+0.05 {
+			t.Log("note: FMCW matched ours at some threshold in this quick run")
+			break
 		}
 	}
-	if bothGood {
-		t.Log("note: FMCW matched ours at some threshold in this quick run")
-	}
-	if fmcw[0].FPRatio < fmcw[len(fmcw)-1].FPRatio {
-		t.Errorf("FMCW FP should fall with threshold: %v", fmcw)
+	if fp[0] < fp[len(fp)-1] {
+		t.Errorf("FMCW FP should fall with threshold: %v", fp)
 	}
 }
 
@@ -146,14 +171,15 @@ func TestFig11aShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("acoustic ranging sweep")
 	}
-	out, _ := Fig11a(quickOpt(9, 8))
-	med10 := stats.Median(out[10])
+	p, _ := runFull(t, "fig11a", quickOpt(9, 8))
+	// fig11aSeps: sketch 0 is the 10 m separation, sketch 2 the 35 m one.
+	med10 := stats.Median(p.Sketch("fig11a/0").Values())
 	if math.IsNaN(med10) || med10 > 1.0 {
 		t.Errorf("10 m median %.2f, want sub-metre", med10)
 	}
 	// 95th percentile at 35m should not be better than the 10 m median.
-	if p := stats.Percentile(out[35], 95); !math.IsNaN(p) && p < med10/2 {
-		t.Errorf("35 m tail %.2f implausibly better than 10 m median %.2f", p, med10)
+	if tail := stats.Percentile(p.Sketch("fig11a/2").Values(), 95); !math.IsNaN(tail) && tail < med10/2 {
+		t.Errorf("35 m tail %.2f implausibly better than 10 m median %.2f", tail, med10)
 	}
 }
 
@@ -161,10 +187,11 @@ func TestFig13aMidColumnBest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("acoustic depth sweep")
 	}
-	out, _ := Fig13a(quickOpt(10, 8))
-	m5 := stats.Median(out[5])
-	m2 := stats.Median(out[2])
-	m8 := stats.Median(out[8])
+	p, _ := runFull(t, "fig13a", quickOpt(10, 8))
+	// fig13aDepths: sketches 0, 1 and 2 hold the 2, 5 and 8 m depths.
+	m2 := stats.Median(p.Sketch("fig13a/0").Values())
+	m5 := stats.Median(p.Sketch("fig13a/1").Values())
+	m8 := stats.Median(p.Sketch("fig13a/2").Values())
 	if math.IsNaN(m5) || math.IsNaN(m2) || math.IsNaN(m8) {
 		t.Skip("miss in quick run")
 	}
@@ -178,15 +205,15 @@ func TestFig13aMidColumnBest(t *testing.T) {
 }
 
 func TestRTTTableMatchesProtocol(t *testing.T) {
-	out, tab := RTT(Options{Seed: 11, Samples: 1})
-	want := map[int]float64{3: 1.24, 4: 1.56, 5: 1.88, 6: 2.20, 7: 2.52}
-	for n, v := range want {
-		if math.Abs(out[n]-v) > 1e-9 {
-			t.Errorf("N=%d analytic %.3f, want %.3f", n, out[n], v)
-		}
+	_, tab := runFull(t, "rtt", Options{Seed: 11, Samples: 1})
+	want := []string{"1.24", "1.56", "1.88", "2.20", "2.52"} // N = 3..7
+	if len(tab.Rows) != len(want) {
+		t.Fatalf("rows %d", len(tab.Rows))
 	}
-	if len(tab.Rows) != 5 {
-		t.Errorf("rows %d", len(tab.Rows))
+	for i, row := range tab.Rows {
+		if row[0] != stats.F(float64(3+i)) || row[1] != want[i] {
+			t.Errorf("row %d: N %s analytic %s, want N %d analytic %s", i, row[0], row[1], 3+i, want[i])
+		}
 	}
 }
 
@@ -194,7 +221,7 @@ func TestHeadlineTableRenders(t *testing.T) {
 	if testing.Short() {
 		t.Skip("aggregates full-stack runs")
 	}
-	tab := Headline(Options{Seed: 12, Samples: 3, Quick: true})
+	_, tab := runFull(t, "headline", Options{Seed: 12, Samples: 3, Quick: true})
 	if len(tab.Rows) < 7 {
 		t.Errorf("headline rows %d", len(tab.Rows))
 	}
@@ -208,9 +235,13 @@ func TestAblationBandWindow(t *testing.T) {
 	if testing.Short() {
 		t.Skip("acoustic ablation")
 	}
-	out, _ := AblationBandWindow(quickOpt(20, 12))
-	if len(out["hann"]) == 0 || len(out["rectangular"]) == 0 {
-		t.Skip("no detections in quick run")
+	p, _ := runFull(t, "ablation-bandwindow", quickOpt(20, 12))
+	out := map[string][]float64{}
+	for _, k := range []string{"hann", "rectangular"} {
+		out[k] = p.Sketch("ablation-bandwindow/" + k).Values()
+		if len(out[k]) == 0 {
+			t.Skip("no detections in quick run")
+		}
 	}
 	// Both should produce sub-2 m medians; the table quantifies the gap.
 	for k, es := range out {
@@ -224,12 +255,15 @@ func TestAblationPrefilter(t *testing.T) {
 	if testing.Short() {
 		t.Skip("acoustic ablation")
 	}
-	rates, _ := AblationPrefilter(quickOpt(21, 20))
-	if rates["with prefilter"] < rates["without prefilter"] {
-		t.Errorf("prefilter should not hurt: %v", rates)
+	opt := quickOpt(21, 20)
+	p, _ := runFull(t, "ablation-prefilter", opt)
+	on := float64(p.Counter("ablation-prefilter/on")) / float64(opt.samples(60))
+	off := float64(p.Counter("ablation-prefilter/off")) / float64(opt.samples(60))
+	if on < off {
+		t.Errorf("prefilter should not hurt: with %v, without %v", on, off)
 	}
-	if rates["with prefilter"] < 0.8 {
-		t.Errorf("prefilter detection rate %.2f too low", rates["with prefilter"])
+	if on < 0.8 {
+		t.Errorf("prefilter detection rate %.2f too low", on)
 	}
 }
 
@@ -237,35 +271,24 @@ func TestAblationPrefilter(t *testing.T) {
 // experiment level: the same Options must produce byte-identical tables no
 // matter how many workers run the trials.
 func TestWorkerCountInvariance(t *testing.T) {
-	serial := Options{Seed: 7, Samples: 20, Workers: 1}
-	parallel := Options{Seed: 7, Samples: 20, Workers: 8}
-	_, ta := Fig06a(serial)
-	_, tb := Fig06a(parallel)
-	if ta.Format() != tb.Format() {
-		t.Errorf("fig06a differs across worker counts:\n%s\nvs\n%s", ta.Format(), tb.Format())
+	samples := map[string]int{"fig06a": 20, "ablation-restarts": 20}
+	if !testing.Short() {
+		samples["fig13a"] = 2 // the full acoustic stack
 	}
-	_, tc := AblationRestarts(serial)
-	_, td := AblationRestarts(parallel)
-	if tc.Format() != td.Format() {
-		t.Errorf("ablation-restarts differs across worker counts:\n%s\nvs\n%s", tc.Format(), td.Format())
-	}
-	if testing.Short() {
-		return
-	}
-	acousticS := Options{Seed: 7, Samples: 2, Workers: 1}
-	acousticP := Options{Seed: 7, Samples: 2, Workers: 8}
-	_, te := Fig13a(acousticS)
-	_, tf := Fig13a(acousticP)
-	if te.Format() != tf.Format() {
-		t.Errorf("fig13a (full acoustic stack) differs across worker counts:\n%s\nvs\n%s", te.Format(), tf.Format())
+	for id, n := range samples {
+		_, serial := runFull(t, id, Options{Seed: 7, Samples: n, Workers: 1})
+		_, parallel := runFull(t, id, Options{Seed: 7, Samples: n, Workers: 8})
+		if serial.Format() != parallel.Format() {
+			t.Errorf("%s differs across worker counts:\n%s\nvs\n%s", id, serial.Format(), parallel.Format())
+		}
 	}
 }
 
 func TestAblationRestarts(t *testing.T) {
-	out, _ := AblationRestarts(quickOpt(22, 40))
+	p, _ := runFull(t, "ablation-restarts", quickOpt(22, 40))
 	// Restarts find equal-or-higher stress basins (better detectability).
-	m0 := stats.Median(out["restarts=0"])
-	m2 := stats.Median(out["restarts=2"])
+	m0 := stats.Median(p.Sketch("ablation-restarts/restarts=0").Values())
+	m2 := stats.Median(p.Sketch("ablation-restarts/restarts=2").Values())
 	if m2 < m0*0.8 {
 		t.Errorf("restarts reduced found stress: %v vs %v", m2, m0)
 	}
@@ -276,7 +299,7 @@ func TestAblationRestarts(t *testing.T) {
 // detection finds and that the shared ingest pipeline agrees with the
 // receiver's separate scans while paying fewer forward transforms.
 func TestStreamingVerdicts(t *testing.T) {
-	tab := Streaming(quickOpt(1, 1))
+	_, tab := runFull(t, "streaming", quickOpt(1, 1))
 	result := map[string]string{}
 	for _, row := range tab.Rows {
 		result[row[0]] = row[len(row)-1]
@@ -301,5 +324,23 @@ func TestStreamingVerdicts(t *testing.T) {
 	}
 	if sharedXF >= legacyXF {
 		t.Errorf("shared ingest paid %d forward transforms, legacy %d: want fewer", sharedXF, legacyXF)
+	}
+}
+
+// TestFullStackIDsRender runs, once each at one sample, the ids that no
+// other test reaches, so every render half executes under go test.
+func TestFullStackIDsRender(t *testing.T) {
+	if testing.Short() {
+		t.Skip("acoustic and full-stack rounds")
+	}
+	for _, id := range []string{
+		"fig11b", "fig12b", "fig14a", "fig14b", "fig15", "fig19a", "fig19b",
+		"fig19b-4dev", "fig20", "flipping", "ablation-reportback",
+	} {
+		t.Run(id, func(t *testing.T) {
+			if _, table := runFull(t, id, Options{Seed: 1, Samples: 1, Quick: true}); len(table.Rows) == 0 {
+				t.Errorf("%s rendered no rows", id)
+			}
+		})
 	}
 }

@@ -10,7 +10,7 @@ import (
 	"uwpos/internal/stats"
 )
 
-// Ingest profiles the real-time ingest path under full protocol rounds:
+// runIngest profiles the real-time ingest path under full protocol rounds:
 // every receiver-side scan of a round (message detection, calibration,
 // baselines when exercised) runs through ingest pipelines fed at audio-
 // callback cadence, and a shared deadline meter accounts each buffer's
@@ -24,7 +24,7 @@ import (
 // wall-clock measurements and vary run to run (machine-dependent, not
 // compared against baselines). Rounds run serially: the meter reads a
 // monotonic clock per buffer and deliberately has no locking.
-func Ingest(opt Options) *stats.Table {
+func runIngest(opt Options) *stats.Table {
 	rounds := opt.samples(2)
 	if opt.Quick {
 		rounds = 1

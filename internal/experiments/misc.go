@@ -12,6 +12,9 @@ import (
 
 var fig13bSensors = []string{"watch", "phone"}
 
+// accFig13b lowers a smartwatch dive gauge and a pouched phone barometer
+// 0–9 m in 1 m steps, with repeated reads at each step (the paper's 30 s
+// holds).
 func accFig13b(opt Options, p *Partial, pre string) {
 	rng := opt.rng()
 	reps := opt.samples(30)
@@ -39,8 +42,7 @@ func accFig13b(opt Options, p *Partial, pre string) {
 	}
 }
 
-func renderFig13b(_ Options, p *Partial, pre string) (map[string][]float64, *stats.Table) {
-	out := map[string][]float64{"watch": nil, "phone": nil}
+func renderFig13b(_ Options, p *Partial, pre string) *stats.Table {
 	table := &stats.Table{
 		ID:     "fig13b",
 		Title:  "depth measurement accuracy: smartwatch gauge vs phone barometer",
@@ -49,19 +51,9 @@ func renderFig13b(_ Options, p *Partial, pre string) (map[string][]float64, *sta
 	}
 	for ni, name := range fig13bSensors {
 		sk := p.Sketch(pre + "fig13b/" + ik(ni))
-		out[name] = sk.Values()
 		table.Rows = append(table.Rows, []string{name, stats.F(sk.Mean()), stats.F(sk.Std())})
 	}
-	return out, table
-}
-
-// Fig13b measures depth-sensor accuracy: smartwatch dive gauge vs phone
-// barometer in a pouch, lowered 0–9 m in 1 m steps (30 s holds → repeated
-// reads), reporting measured-vs-reference and error statistics.
-func Fig13b(opt Options) (map[string][]float64, *stats.Table) {
-	p := NewPartial()
-	accFig13b(opt, p, "")
-	return renderFig13b(opt, p, "")
+	return table
 }
 
 var fig16Dists = []float64{3, 5, 7, 9}
@@ -85,41 +77,29 @@ func accFig16(opt Options, p *Partial, pre string) {
 	})
 }
 
-func renderFig16(_ Options, p *Partial, pre string) (float64, *stats.Table) {
+func renderFig16(_ Options, p *Partial, pre string) *stats.Table {
 	table := &stats.Table{
 		ID:     "fig16",
 		Title:  "leader pointing error vs distance (camera/checkerboard chain)",
 		Paper:  "average 5.0° across two users and 3–9 m distances",
 		Header: []string{"user", "3 m", "5 m", "7 m", "9 m", "mean (deg)"},
 	}
-	const nUsers = 2
-	var grandSum float64
-	for ui := 0; ui < nUsers; ui++ {
+	for ui := 0; ui < 2; ui++ {
 		vals := p.Sketch(pre + "fig16" + "/u" + ik(ui)).Values()
 		row := []string{"user " + stats.F(float64(ui+1))}
 		for _, v := range vals[:len(fig16Dists)] {
 			row = append(row, stats.F(v))
 		}
-		grand := vals[len(fig16Dists)]
-		row = append(row, stats.F(grand))
+		row = append(row, stats.F(vals[len(fig16Dists)]))
 		table.Rows = append(table.Rows, row)
-		grandSum += grand
 	}
-	return grandSum / nUsers, table
+	return table
 }
 
-// Fig16 reproduces the human leader-orientation study: two simulated
-// users aiming at 3–9 m, camera-checkerboard measurement chain.
-func Fig16(opt Options) (float64, *stats.Table) {
-	p := NewPartial()
-	accFig16(opt, p, "")
-	return renderFig16(opt, p, "")
-}
-
-// Battery reproduces the §3.1 power study. It is pure arithmetic over the
+// runBattery reproduces the §3.1 power study. It is pure arithmetic over the
 // power profiles — no trials, no randomness — so the registry runs it as
 // render-only.
-func Battery(_ Options) *stats.Table {
+func runBattery(_ Options) *stats.Table {
 	table := &stats.Table{
 		ID:     "battery",
 		Title:  "battery drain after 4.5 h of acoustic operation",

@@ -138,8 +138,7 @@ func accFig18(opt Options, p *Partial, pre string) {
 	}
 }
 
-func renderFig18(_ Options, p *Partial, pre string) (map[string][]float64, *stats.Table) {
-	out := make(map[string][]float64)
+func renderFig18(_ Options, p *Partial, pre string) *stats.Table {
 	table := &stats.Table{
 		ID:     "fig18",
 		Title:  "2D localization error by link distance (5-device testbeds)",
@@ -149,7 +148,6 @@ func renderFig18(_ Options, p *Partial, pre string) (map[string][]float64, *stat
 	for _, site := range fig18Sites {
 		for _, b := range fig18Buckets {
 			sk := p.Sketch(pre + "fig18/" + site + "/" + b)
-			out[site+"/"+b] = sk.Values()
 			qs := sk.Quantiles(50, 95)
 			table.Rows = append(table.Rows, []string{
 				site, b, stats.F(qs[0]), stats.F(qs[1]),
@@ -157,17 +155,12 @@ func renderFig18(_ Options, p *Partial, pre string) (map[string][]float64, *stat
 			})
 		}
 	}
-	return out, table
+	return table
 }
 
-// Fig18 runs the network testbeds at the dock and boathouse and reports
-// the 2D localization CDF broken down by link distance to the leader.
-func Fig18(opt Options) (map[string][]float64, *stats.Table) {
-	p := NewPartial()
-	accFig18(opt, p, "")
-	return renderFig18(opt, p, "")
-}
-
+// accFig19a blocks the leader↔user-1 link with a solid sheet (severe
+// multipath, so a distance outlier) and localizes each round with and
+// without Algorithm 1's outlier search.
 func accFig19a(opt Options, p *Partial, pre string) {
 	rounds := opt.samples(12)
 	env := channel.Dock()
@@ -199,36 +192,27 @@ func accFig19a(opt Options, p *Partial, pre string) {
 	})
 }
 
-func renderFig19a(_ Options, p *Partial, pre string) (map[string][]float64, *stats.Table) {
+func renderFig19a(_ Options, p *Partial, pre string) *stats.Table {
 	table := &stats.Table{
 		ID:     "fig19a",
 		Title:  "occluded leader↔user-1 link: with vs without outlier detection",
 		Paper:  "with detection median 1.4 m / 95th 3.4 m; without, the 90–100th percentile tail explodes",
 		Header: []string{"variant", "median (m)", "95th (m)", "99th (m)"},
 	}
-	out := make(map[string][]float64)
 	for _, k := range []string{"with", "without"} {
-		sk := p.Sketch(pre + "fig19a/" + k)
-		out[k] = sk.Values()
-		qs := sk.Quantiles(50, 95, 99)
+		qs := p.Sketch(pre+"fig19a/"+k).Quantiles(50, 95, 99)
 		table.Rows = append(table.Rows, []string{
 			k + " outlier detection", stats.F(qs[0]), stats.F(qs[1]), stats.F(qs[2]),
 		})
 	}
-	return out, table
-}
-
-// Fig19a evaluates occluded-link outlier handling: the leader↔user-1 link
-// is blocked by a solid sheet (severe multipath → distance outlier); with
-// and without Algorithm 1.
-func Fig19a(opt Options) (map[string][]float64, *stats.Table) {
-	p := NewPartial()
-	accFig19a(opt, p, "")
-	return renderFig19a(opt, p, "")
+	return table
 }
 
 var fig19bVariants = []string{"full", "link-drop", "node-drop"}
 
+// accFig19b post-processes clean dock rounds, as the paper does ("use the
+// data collected from the dock location"): the full network, one random
+// link removed and one random node removed.
 func accFig19b(opt Options, p *Partial, pre string) {
 	rounds := opt.samples(12)
 	env := channel.Dock()
@@ -277,30 +261,18 @@ func accFig19b(opt Options, p *Partial, pre string) {
 	})
 }
 
-func renderFig19b(_ Options, p *Partial, pre string) (map[string][]float64, *stats.Table) {
+func renderFig19b(_ Options, p *Partial, pre string) *stats.Table {
 	table := &stats.Table{
 		ID:     "fig19b",
 		Title:  "full network vs random link drop vs random node drop (dock)",
 		Paper:  "medians similar (1.0 vs 0.9 m); link drop inflates the 95th (6.2 vs 3.2 m); node drop does not hurt",
 		Header: []string{"variant", "median (m)", "95th (m)"},
 	}
-	out := make(map[string][]float64)
 	for _, k := range fig19bVariants {
-		sk := p.Sketch(pre + "fig19b/" + k)
-		out[k] = sk.Values()
-		qs := sk.Quantiles(50, 95)
+		qs := p.Sketch(pre+"fig19b/"+k).Quantiles(50, 95)
 		table.Rows = append(table.Rows, []string{k, stats.F(qs[0]), stats.F(qs[1])})
 	}
-	return out, table
-}
-
-// Fig19b post-processes clean dock rounds: full network vs one random
-// link removed vs one random node removed (the paper's methodology —
-// "use the data collected from the dock location").
-func Fig19b(opt Options) (map[string][]float64, *stats.Table) {
-	p := NewPartial()
-	accFig19b(opt, p, "")
-	return renderFig19b(opt, p, "")
+	return table
 }
 
 func cloneMatrix(m [][]float64) [][]float64 {
@@ -372,6 +344,8 @@ func relocalizeWithoutNode(rd roundData, drop int) ([]float64, bool) {
 
 var fourDevVariants = []string{"5-device", "4-device"}
 
+// accFourDevices compares 5- and 4-device networks (§3.2) by removing,
+// from each dock round, one node that is neither the leader nor user 1.
 func accFourDevices(opt Options, p *Partial, pre string) {
 	rounds := opt.samples(10)
 	env := channel.Dock()
@@ -396,29 +370,18 @@ func accFourDevices(opt Options, p *Partial, pre string) {
 	})
 }
 
-func renderFourDevices(_ Options, p *Partial, pre string) (map[string][]float64, *stats.Table) {
+func renderFourDevices(_ Options, p *Partial, pre string) *stats.Table {
 	table := &stats.Table{
 		ID:     "fig19b-4dev",
 		Title:  "5-device vs 4-device networks (dock)",
 		Paper:  "similar CDFs: medians 0.9 vs 0.8 m, both 95th ≈3.2 m",
 		Header: []string{"network", "median (m)", "95th (m)"},
 	}
-	out := make(map[string][]float64)
 	for _, k := range fourDevVariants {
-		sk := p.Sketch(pre + "fig19b-4dev/" + k)
-		out[k] = sk.Values()
-		qs := sk.Quantiles(50, 95)
+		qs := p.Sketch(pre+"fig19b-4dev/"+k).Quantiles(50, 95)
 		table.Rows = append(table.Rows, []string{k, stats.F(qs[0]), stats.F(qs[1])})
 	}
-	return out, table
-}
-
-// FourDevices compares 4- vs 5-device networks by removing one non-leader,
-// non-pointed node from dock rounds (§3.2 "4-device networks").
-func FourDevices(opt Options) (map[string][]float64, *stats.Table) {
-	p := NewPartial()
-	accFourDevices(opt, p, "")
-	return renderFourDevices(opt, p, "")
+	return table
 }
 
 func accFig20(opt Options, p *Partial, pre string) {
@@ -450,8 +413,7 @@ func accFig20(opt Options, p *Partial, pre string) {
 	}
 }
 
-func renderFig20(_ Options, p *Partial, pre string) (map[string][]float64, *stats.Table) {
-	out := make(map[string][]float64)
+func renderFig20(_ Options, p *Partial, pre string) *stats.Table {
 	table := &stats.Table{
 		ID:     "fig20",
 		Title:  "2D localization with one moving device (dock)",
@@ -460,25 +422,14 @@ func renderFig20(_ Options, p *Partial, pre string) (map[string][]float64, *stat
 	}
 	for _, mover := range []int{1, 2} {
 		for _, user := range []int{1, 2} {
-			key := keyFor(mover, user)
-			sk := p.Sketch(pre + "fig20/" + key)
-			out[key] = sk.Values()
-			qs := sk.Quantiles(50, 95)
+			qs := p.Sketch(pre+"fig20/"+keyFor(mover, user)).Quantiles(50, 95)
 			table.Rows = append(table.Rows, []string{
 				"user " + stats.F(float64(mover)), "user " + stats.F(float64(user)),
 				stats.F(qs[0]), stats.F(qs[1]),
 			})
 		}
 	}
-	return out, table
-}
-
-// Fig20 measures 2D localization while one device oscillates (user 1 or
-// user 2 at 15–50 cm/s), reporting each user's error in both settings.
-func Fig20(opt Options) (map[string][]float64, *stats.Table) {
-	p := NewPartial()
-	accFig20(opt, p, "")
-	return renderFig20(opt, p, "")
+	return table
 }
 
 func keyFor(mover, user int) string {
@@ -514,8 +465,7 @@ func accRTT(opt Options, p *Partial, pre string) {
 	}
 }
 
-func renderRTT(_ Options, p *Partial, pre string) (map[int]float64, *stats.Table) {
-	out := make(map[int]float64)
+func renderRTT(_ Options, p *Partial, pre string) *stats.Table {
 	table := &stats.Table{
 		ID:     "rtt",
 		Title:  "localization protocol round time vs group size",
@@ -528,20 +478,11 @@ func renderRTT(_ Options, p *Partial, pre string) (map[int]float64, *stats.Table
 		if n <= 5 {
 			measured = p.Sketch(pre + "rtt/" + ik(n)).Mean()
 		}
-		out[n] = analytic
 		table.Rows = append(table.Rows, []string{
 			stats.F(float64(n)), stats.F(analytic), stats.F(measured),
 		})
 	}
-	return out, table
-}
-
-// RTT reports the protocol round time per group size: the analytic §2.3
-// schedule plus measured full-stack rounds.
-func RTT(opt Options) (map[int]float64, *stats.Table) {
-	p := NewPartial()
-	accRTT(opt, p, "")
-	return renderRTT(opt, p, "")
+	return table
 }
 
 func accFlipping(opt Options, p *Partial, pre string) {
@@ -590,32 +531,20 @@ func accFlipping(opt Options, p *Partial, pre string) {
 	})
 }
 
-func renderFlipping(_ Options, p *Partial, pre string) (single, triple float64, table *stats.Table) {
+func renderFlipping(_ Options, p *Partial, pre string) *stats.Table {
 	key := pre + "flipping"
 	singleOK, singleTotal := int(p.Counter(key+"/singleOK")), int(p.Counter(key+"/singleTotal"))
 	tripleOK, tripleTotal := int(p.Counter(key+"/tripleOK")), int(p.Counter(key+"/tripleTotal"))
-	single = ratio(singleOK, singleTotal)
-	triple = ratio(tripleOK, tripleTotal)
-	table = &stats.Table{
+	return &stats.Table{
 		ID:     "flipping",
 		Title:  "flipping disambiguation accuracy (dock rounds)",
 		Paper:  "90.1% using one device's signal; 100% using all three",
 		Header: []string{"voters", "accuracy", "n"},
 		Rows: [][]string{
-			{"single", stats.F3(single), stats.F(float64(singleTotal))},
-			{"all (majority)", stats.F3(triple), stats.F(float64(tripleTotal))},
+			{"single", stats.F3(ratio(singleOK, singleTotal)), stats.F(float64(singleTotal))},
+			{"all (majority)", stats.F3(ratio(tripleOK, tripleTotal)), stats.F(float64(tripleTotal))},
 		},
 	}
-	return single, triple, table
-}
-
-// Flipping measures disambiguation accuracy using 1 voter vs all 3 voters
-// across dock rounds (§3.2: 90.1% with one device's signal, 100% with
-// three).
-func Flipping(opt Options) (single, triple float64, table *stats.Table) {
-	p := NewPartial()
-	accFlipping(opt, p, "")
-	return renderFlipping(opt, p, "")
 }
 
 func ratio(a, b int) float64 {
@@ -625,25 +554,16 @@ func ratio(a, b int) float64 {
 	return float64(a) / float64(b)
 }
 
-// headlineOpts builds the two sub-Options Headline runs its underlying
-// experiments with. Shard and Checkpoint pass through so a sharded or
+// accHeadline runs lighter fig11a and fig18 sweeps under the h11/ and
+// h18/ prefixes. Shard and Checkpoint pass through so a sharded or
 // resumed headline run scopes and snapshots its sub-experiments too.
-func headlineOpts(opt Options) (o11, o18 Options) {
-	o11 = Options{Seed: opt.Seed, Samples: opt.samples(12), Workers: opt.Workers, Progress: opt.Progress, Shard: opt.Shard, Checkpoint: opt.Checkpoint}
-	o18 = Options{Seed: opt.Seed + 1, Samples: opt.samples(6), Workers: opt.Workers, Progress: opt.Progress, Shard: opt.Shard, Checkpoint: opt.Checkpoint}
-	return o11, o18
-}
-
 func accHeadline(opt Options, p *Partial, pre string) {
-	o11, o18 := headlineOpts(opt)
-	accFig11a(o11, p, pre+"h11/")
-	accFig18(o18, p, pre+"h18/")
+	accFig11a(Options{Seed: opt.Seed, Samples: opt.samples(12), Workers: opt.Workers, Progress: opt.Progress, Shard: opt.Shard, Checkpoint: opt.Checkpoint}, p, pre+"h11/")
+	accFig18(Options{Seed: opt.Seed + 1, Samples: opt.samples(6), Workers: opt.Workers, Progress: opt.Progress, Shard: opt.Shard, Checkpoint: opt.Checkpoint}, p, pre+"h18/")
 }
 
-func renderHeadline(opt Options, p *Partial, pre string) *stats.Table {
-	o11, o18 := headlineOpts(opt)
-	r1d, _ := renderFig11a(o11, p, pre+"h11/")
-	net, _ := renderFig18(o18, p, pre+"h18/")
+func renderHeadline(_ Options, p *Partial, pre string) *stats.Table {
+	median := func(key string) string { return stats.F(stats.Median(p.Sketch(pre+key).Values())) + " m" }
 	table := &stats.Table{
 		ID:     "headline",
 		Title:  "headline results vs paper (§1 key findings)",
@@ -651,21 +571,14 @@ func renderHeadline(opt Options, p *Partial, pre string) *stats.Table {
 		Header: []string{"metric", "paper", "measured"},
 	}
 	table.Rows = append(table.Rows,
-		[]string{"1D median @10 m", "0.48 m", stats.F(stats.Median(r1d[10])) + " m"},
-		[]string{"1D median @20 m", "0.80 m", stats.F(stats.Median(r1d[20])) + " m"},
-		[]string{"1D median @35 m", "0.86 m", stats.F(stats.Median(r1d[35])) + " m"},
-		[]string{"2D median dock", "0.9 m", stats.F(stats.Median(net["dock/all"])) + " m"},
-		[]string{"2D median boathouse", "1.6 m", stats.F(stats.Median(net["boathouse/all"])) + " m"},
+		// fig11aSeps[0:3] are the 10, 20 and 35 m separations.
+		[]string{"1D median @10 m", "0.48 m", median("h11/fig11a/0")},
+		[]string{"1D median @20 m", "0.80 m", median("h11/fig11a/1")},
+		[]string{"1D median @35 m", "0.86 m", median("h11/fig11a/2")},
+		[]string{"2D median dock", "0.9 m", median("h18/fig18/dock/all")},
+		[]string{"2D median boathouse", "1.6 m", median("h18/fig18/boathouse/all")},
 		[]string{"protocol latency N=4", "1.56 s", stats.F(protocol.DefaultParams(4).RoundTime(true)) + " s"},
 		[]string{"protocol latency N=5", "1.88 s", stats.F(protocol.DefaultParams(5).RoundTime(true)) + " s"},
 	)
 	return table
-}
-
-// Headline aggregates the paper's top-line numbers from lighter runs of
-// the underlying experiments.
-func Headline(opt Options) *stats.Table {
-	p := NewPartial()
-	accHeadline(opt, p, "")
-	return renderHeadline(opt, p, "")
 }

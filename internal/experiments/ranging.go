@@ -94,8 +94,7 @@ func accFig11a(opt Options, p *Partial, pre string) {
 	}
 }
 
-func renderFig11a(_ Options, p *Partial, pre string) (map[float64][]float64, *stats.Table) {
-	out := make(map[float64][]float64)
+func renderFig11a(_ Options, p *Partial, pre string) *stats.Table {
 	table := &stats.Table{
 		ID:     "fig11a",
 		Title:  "1D ranging error CDF vs separation (dock)",
@@ -104,23 +103,13 @@ func renderFig11a(_ Options, p *Partial, pre string) (map[float64][]float64, *st
 	}
 	for i, sep := range fig11aSeps {
 		key := pre + "fig11a/" + ik(i)
-		sk := p.Sketch(key)
-		out[sep] = sk.Values()
-		qs := sk.Quantiles(50, 95)
+		qs := p.Sketch(key).Quantiles(50, 95)
 		table.Rows = append(table.Rows, []string{
 			stats.F(sep), stats.F(qs[0]), stats.F(qs[1]),
 			stats.F(float64(missedOf(p, key))),
 		})
 	}
-	return out, table
-}
-
-// Fig11a measures ranging-error CDFs vs device separation (10/20/35/45 m,
-// dock, 2.5 m depth), reporting medians and 95th percentiles.
-func Fig11a(opt Options) (map[float64][]float64, *stats.Table) {
-	p := NewPartial()
-	accFig11a(opt, p, "")
-	return renderFig11a(opt, p, "")
+	return table
 }
 
 var fig11bMethods = []sim.RangingMethod{sim.MethodDualMic, sim.MethodBottomMicOnly, sim.MethodTopMicOnly}
@@ -134,8 +123,7 @@ func accFig11b(opt Options, p *Partial, pre string) {
 	}
 }
 
-func renderFig11b(_ Options, p *Partial, pre string) (map[string][]float64, *stats.Table) {
-	out := make(map[string][]float64)
+func renderFig11b(_ Options, p *Partial, pre string) *stats.Table {
 	table := &stats.Table{
 		ID:     "fig11b",
 		Title:  "95th-percentile ranging error: both vs single microphones",
@@ -144,33 +132,19 @@ func renderFig11b(_ Options, p *Partial, pre string) (map[string][]float64, *sta
 	}
 	for i, sep := range fig11aSeps {
 		row := []string{stats.F(sep)}
-		for mi, m := range fig11bMethods {
-			sk := p.Sketch(pre + "fig11b/" + ik(i) + "/" + ik(mi))
-			out[m.String()] = append(out[m.String()], sk.Values()...)
-			row = append(row, stats.F(sk.Quantile(95)))
+		for mi := range fig11bMethods {
+			row = append(row, stats.F(p.Sketch(pre+"fig11b/"+ik(i)+"/"+ik(mi)).Quantile(95)))
 		}
 		table.Rows = append(table.Rows, row)
 	}
-	return out, table
-}
-
-// Fig11b compares 95th-percentile error using both mics vs each single
-// mic, per separation.
-func Fig11b(opt Options) (map[string][]float64, *stats.Table) {
-	p := NewPartial()
-	accFig11b(opt, p, "")
-	return renderFig11b(opt, p, "")
-}
-
-// DetectionCounts aggregates a detector study.
-type DetectionCounts struct {
-	ThresholdDB float64
-	FPRatio     float64
-	FNRatio     float64
+	return table
 }
 
 var fig12aThresholds = []float64{3, 6, 9, 12, 15, 18, 21, 24}
 
+// accFig12a scores our two-stage detector against the FMCW window-power
+// detector at each threshold, under boathouse impulsive noise at a ~20 m
+// SNR operating point.
 func accFig12a(opt Options, p *Partial, pre string) {
 	trials := opt.samples(60)
 	pr := sig.DefaultParams()
@@ -237,39 +211,22 @@ func accFig12a(opt Options, p *Partial, pre string) {
 	})
 }
 
-func renderFig12a(opt Options, p *Partial, pre string) (ours DetectionCounts, fmcw []DetectionCounts, table *stats.Table) {
-	trials := opt.samples(60)
+func renderFig12a(opt Options, p *Partial, pre string) *stats.Table {
 	key := pre + "fig12a"
-	ours = DetectionCounts{
-		FPRatio: float64(p.Counter(key+"/oursFP")) / float64(trials),
-		FNRatio: float64(p.Counter(key+"/oursFN")) / float64(trials),
+	cell := func(counter string) string {
+		return stats.F3(float64(p.Counter(key+counter)) / float64(opt.samples(60)))
 	}
-	table = &stats.Table{
+	table := &stats.Table{
 		ID:     "fig12a",
 		Title:  "signal-detection FP/FN: ours vs FMCW window-power detector",
 		Paper:  "ours ≈10⁻²–10⁻³ both ways; FMCW trades FP against FN across TH_SD with no good point",
 		Header: []string{"detector", "TH_SD (dB)", "FP ratio", "FN ratio"},
 	}
-	table.Rows = append(table.Rows, []string{"ours (PN autocorr 0.35)", "-", stats.F3(ours.FPRatio), stats.F3(ours.FNRatio)})
+	table.Rows = append(table.Rows, []string{"ours (PN autocorr 0.35)", "-", cell("/oursFP"), cell("/oursFN")})
 	for i, th := range fig12aThresholds {
-		c := DetectionCounts{
-			ThresholdDB: th,
-			FPRatio:     float64(p.Counter(key+"/fp/"+ik(i))) / float64(trials),
-			FNRatio:     float64(p.Counter(key+"/fn/"+ik(i))) / float64(trials),
-		}
-		fmcw = append(fmcw, c)
-		table.Rows = append(table.Rows, []string{"fmcw window-power", stats.F(th), stats.F3(c.FPRatio), stats.F3(c.FNRatio)})
+		table.Rows = append(table.Rows, []string{"fmcw window-power", stats.F(th), cell("/fp/" + ik(i)), cell("/fn/" + ik(i))})
 	}
-	return ours, fmcw, table
-}
-
-// Fig12a compares signal-detection robustness: our two-stage detector vs
-// the FMCW window-power detector across thresholds, under boathouse
-// impulsive noise, at a ~20 m SNR operating point.
-func Fig12a(opt Options) (ours DetectionCounts, fmcw []DetectionCounts, table *stats.Table) {
-	p := NewPartial()
-	accFig12a(opt, p, "")
-	return renderFig12a(opt, p, "")
+	return table
 }
 
 var (
@@ -303,8 +260,7 @@ func fig12bCell(p *Partial, key string) string {
 	return cell
 }
 
-func renderFig12b(_ Options, p *Partial, pre string) (map[string]map[float64][]float64, *stats.Table) {
-	out := make(map[string]map[float64][]float64)
+func renderFig12b(_ Options, p *Partial, pre string) *stats.Table {
 	table := &stats.Table{
 		ID:     "fig12b",
 		Title:  "1D ranging error vs distance: ours vs BeepBeep vs CAT (boathouse)",
@@ -313,40 +269,24 @@ func renderFig12b(_ Options, p *Partial, pre string) (map[string]map[float64][]f
 	}
 	for di, dist := range fig12bDists {
 		row := []string{stats.F(dist)}
-		for mi, m := range fig12bMethods {
-			key := pre + "fig12b/" + ik(di) + "/" + ik(mi)
-			if out[m.String()] == nil {
-				out[m.String()] = make(map[float64][]float64)
-			}
-			out[m.String()][dist] = p.Sketch(key).Values()
-			row = append(row, fig12bCell(p, key))
+		for mi := range fig12bMethods {
+			row = append(row, fig12bCell(p, pre+"fig12b/"+ik(di)+"/"+ik(mi)))
 		}
 		table.Rows = append(table.Rows, row)
 	}
 	row := []string{"20 (occl)"}
-	for mi, m := range fig12bMethods {
-		key := pre + "fig12b/occl/" + ik(mi)
-		name := m.String() + "/occluded"
-		if out[name] == nil {
-			out[name] = make(map[float64][]float64)
-		}
-		out[name][20] = p.Sketch(key).Values()
-		row = append(row, fig12bCell(p, key))
+	for mi := range fig12bMethods {
+		row = append(row, fig12bCell(p, pre+"fig12b/occl/"+ik(mi)))
 	}
 	table.Rows = append(table.Rows, row)
-	return out, table
-}
-
-// Fig12b compares 1D ranging error across methods (ours vs BeepBeep vs
-// CAT) at 10/20/28 m in the boathouse, mean ± std.
-func Fig12b(opt Options) (map[string]map[float64][]float64, *stats.Table) {
-	p := NewPartial()
-	accFig12b(opt, p, "")
-	return renderFig12b(opt, p, "")
+	return table
 }
 
 var fig13aDepths = []float64{2, 5, 8}
 
+// accFig13a ranges at 2, 5 and 8 m depth in the 9 m dock: near the
+// surface or the bottom, boundary proximity strengthens overlapping
+// multipath.
 func accFig13a(opt Options, p *Partial, pre string) {
 	trials := opt.samples(24)
 	for i, d := range fig13aDepths {
@@ -354,8 +294,7 @@ func accFig13a(opt Options, p *Partial, pre string) {
 	}
 }
 
-func renderFig13a(_ Options, p *Partial, pre string) (map[float64][]float64, *stats.Table) {
-	out := make(map[float64][]float64)
+func renderFig13a(_ Options, p *Partial, pre string) *stats.Table {
 	table := &stats.Table{
 		ID:     "fig13a",
 		Title:  "ranging error vs device depth (dock, 18 m separation)",
@@ -363,20 +302,10 @@ func renderFig13a(_ Options, p *Partial, pre string) (map[float64][]float64, *st
 		Header: []string{"depth (m)", "median (m)", "95th (m)"},
 	}
 	for i, d := range fig13aDepths {
-		sk := p.Sketch(pre + "fig13a/" + ik(i))
-		out[d] = sk.Values()
-		qs := sk.Quantiles(50, 95)
+		qs := p.Sketch(pre+"fig13a/"+ik(i)).Quantiles(50, 95)
 		table.Rows = append(table.Rows, []string{stats.F(d), stats.F(qs[0]), stats.F(qs[1])})
 	}
-	return out, table
-}
-
-// Fig13a measures ranging error vs device depth (2/5/8 m in the 9 m dock,
-// 18 m separation): boundary proximity strengthens overlapping multipath.
-func Fig13a(opt Options) (map[float64][]float64, *stats.Table) {
-	p := NewPartial()
-	accFig13a(opt, p, "")
-	return renderFig13a(opt, p, "")
+	return table
 }
 
 var fig14aCases = []struct {
@@ -411,8 +340,7 @@ func accFig14a(opt Options, p *Partial, pre string) {
 	}
 }
 
-func renderFig14a(_ Options, p *Partial, pre string) (map[string][]float64, *stats.Table) {
-	out := make(map[string][]float64)
+func renderFig14a(_ Options, p *Partial, pre string) *stats.Table {
 	table := &stats.Table{
 		ID:     "fig14a",
 		Title:  "ranging error vs transmitter orientation (20 m, dock)",
@@ -420,20 +348,10 @@ func renderFig14a(_ Options, p *Partial, pre string) (map[string][]float64, *sta
 		Header: []string{"orientation", "median (m)", "95th (m)"},
 	}
 	for ci, c := range fig14aCases {
-		sk := p.Sketch(pre + "fig14a/" + ik(ci))
-		out[c.name] = sk.Values()
-		qs := sk.Quantiles(50, 95)
+		qs := p.Sketch(pre+"fig14a/"+ik(ci)).Quantiles(50, 95)
 		table.Rows = append(table.Rows, []string{c.name, stats.F(qs[0]), stats.F(qs[1])})
 	}
-	return out, table
-}
-
-// Fig14a measures the effect of transmitter orientation at 20 m (dock):
-// the four paper configurations of azimuth/polar.
-func Fig14a(opt Options) (map[string][]float64, *stats.Table) {
-	p := NewPartial()
-	accFig14a(opt, p, "")
-	return renderFig14a(opt, p, "")
+	return table
 }
 
 var fig14bPairs = [][2]string{{"pixel", "samsung"}, {"pixel", "oneplus"}, {"samsung", "oneplus"}}
@@ -456,8 +374,7 @@ func accFig14b(opt Options, p *Partial, pre string) {
 	}
 }
 
-func renderFig14b(_ Options, p *Partial, pre string) (map[string][]float64, *stats.Table) {
-	out := make(map[string][]float64)
+func renderFig14b(_ Options, p *Partial, pre string) *stats.Table {
 	table := &stats.Table{
 		ID:     "fig14b",
 		Title:  "ranging error across smartphone model pairs (20 m, dock)",
@@ -465,28 +382,11 @@ func renderFig14b(_ Options, p *Partial, pre string) (map[string][]float64, *sta
 		Header: []string{"pair", "median (m)", "95th (m)"},
 	}
 	for pi, pair := range fig14bPairs {
-		sk := p.Sketch(pre + "fig14b/" + ik(pi))
 		name := pair[0] + "+" + pair[1]
-		out[name] = sk.Values()
-		qs := sk.Quantiles(50, 95)
+		qs := p.Sketch(pre+"fig14b/"+ik(pi)).Quantiles(50, 95)
 		table.Rows = append(table.Rows, []string{name, stats.F(qs[0]), stats.F(qs[1])})
 	}
-	return out, table
-}
-
-// Fig14b measures ranging across phone-model pairs (Pixel/Samsung/OnePlus)
-// at 20 m.
-func Fig14b(opt Options) (map[string][]float64, *stats.Table) {
-	p := NewPartial()
-	accFig14b(opt, p, "")
-	return renderFig14b(opt, p, "")
-}
-
-// Fig15Point is one ping of the moving-device experiment.
-type Fig15Point struct {
-	TimeSec    float64
-	TrueM      float64
-	EstimatedM float64
+	return table
 }
 
 var fig15Speeds = []float64{0.32, 0.56}
@@ -495,16 +395,9 @@ func accFig15(opt Options, p *Partial, pre string) {
 	pings := opt.samples(24)
 	for si, speed := range fig15Speeds {
 		speed := speed
-		type ping struct {
-			pt Fig15Point
-			ok bool
-		}
 		base := pre + "fig15/" + ik(si)
 		errSk := p.Sketch(base + "/err")
-		tSk := p.Sketch(base + "/t")
-		trueSk := p.Sketch(base + "/true")
-		estSk := p.Sketch(base + "/est")
-		stage(opt, p, base, saltFig15+int64(si), pings, func(k int, rng *rand.Rand) ping {
+		stage(opt, p, base, saltFig15+int64(si), pings, func(k int, rng *rand.Rand) trialErr {
 			tSec := float64(k) // one ping per second
 			// Back-and-forth between 6 and 18 m with the given speed.
 			span := 12.0
@@ -523,25 +416,17 @@ func accFig15(opt Options, p *Partial, pre string) {
 			start := cfg.Devices[1].Pos
 			cfg.Devices[1].Traj = sim.Linear(start, geom.Vec3{X: dir * speed})
 			r := rangeOnce(cfg, sim.MethodDualMic)
-			if !r.Detected {
-				return ping{}
-			}
-			return ping{pt: Fig15Point{TimeSec: tSec, TrueM: r.TrueM, EstimatedM: r.EstimatedM}, ok: true}
-		}, func(_ int, pg ping) {
-			if pg.ok {
-				tSk.Add(pg.pt.TimeSec)
-				trueSk.Add(pg.pt.TrueM)
-				estSk.Add(pg.pt.EstimatedM)
-				e := math.Abs(pg.pt.EstimatedM - pg.pt.TrueM)
-				errSk.Add(e)
-				opt.observe(e)
+			return trialErr{err: r.AbsError(), ok: r.Detected}
+		}, func(_ int, te trialErr) {
+			if te.ok {
+				errSk.Add(te.err)
+				opt.observe(te.err)
 			}
 		})
 	}
 }
 
-func renderFig15(_ Options, p *Partial, pre string) (map[float64][]Fig15Point, *stats.Table) {
-	out := make(map[float64][]Fig15Point)
+func renderFig15(_ Options, p *Partial, pre string) *stats.Table {
 	table := &stats.Table{
 		ID:     "fig15",
 		Title:  "1D ranging of a continuously moving device (1 Hz pings, dock)",
@@ -549,37 +434,24 @@ func renderFig15(_ Options, p *Partial, pre string) (map[float64][]Fig15Point, *
 		Header: []string{"speed (cm/s)", "median err (m)", "95th err (m)", "pings"},
 	}
 	for si, speed := range fig15Speeds {
-		base := pre + "fig15/" + ik(si)
-		ts, trues, ests := p.Sketch(base+"/t").Values(), p.Sketch(base+"/true").Values(), p.Sketch(base+"/est").Values()
-		pts := make([]Fig15Point, 0, len(ts))
-		for i := range ts {
-			pts = append(pts, Fig15Point{TimeSec: ts[i], TrueM: trues[i], EstimatedM: ests[i]})
-		}
-		out[speed] = pts
-		qs := p.Sketch(base+"/err").Quantiles(50, 95)
+		sk := p.Sketch(pre + "fig15/" + ik(si) + "/err")
+		qs := sk.Quantiles(50, 95)
 		table.Rows = append(table.Rows, []string{
 			stats.F(speed * 100), stats.F(qs[0]), stats.F(qs[1]),
-			stats.F(float64(len(pts))),
+			stats.F(float64(sk.Count())),
 		})
 	}
-	return out, table
-}
-
-// Fig15 tracks a moving device with 1 Hz pings (dock): two speeds as in
-// the paper (32 and 56 cm/s back-and-forth sweeps).
-func Fig15(opt Options) (map[float64][]Fig15Point, *stats.Table) {
-	p := NewPartial()
-	accFig15(opt, p, "")
-	return renderFig15(opt, p, "")
+	return table
 }
 
 var fig22Dists = []float64{10, 20, 28}
 
-// accFig22 runs the whole probe study as one serial stage (shard 0 only):
+// accFig22 runs the whole probe study (the appendix's 8-symbol probe
+// preamble in the boathouse) as one serial stage (shard 0 only):
 // the three distances share a single run RNG drawn in sequence, so the
-// stage is indivisible. Per-distance subcarrier points land in paired
-// freq/snr sketches; miss/skip outcomes land in counters so the render
-// half can reproduce the original row logic.
+// stage is indivisible. Per-distance subcarrier SNRs land in one sketch
+// per distance; miss/skip outcomes land in counters so the render half
+// can reproduce the original row logic.
 func accFig22(opt Options, p *Partial, pre string) {
 	serialStage(opt, p, pre+"fig22", func() {
 		rng := opt.rng()
@@ -606,18 +478,15 @@ func accFig22(opt Options, p *Partial, pre string) {
 				p.AddCounter(pre+"fig22/"+ik(di)+"/skip", 1)
 				continue
 			}
-			freqSk := p.Sketch(pre + "fig22/" + ik(di) + "/freq")
 			snrSk := p.Sketch(pre + "fig22/" + ik(di) + "/snr")
 			for _, pt := range pts {
-				freqSk.Add(pt.FreqHz)
 				snrSk.Add(pt.SNRDB)
 			}
 		}
 	})
 }
 
-func renderFig22(_ Options, p *Partial, pre string) (map[float64][]ranging.SNRPoint, *stats.Table) {
-	out := make(map[float64][]ranging.SNRPoint)
+func renderFig22(_ Options, p *Partial, pre string) *stats.Table {
 	table := &stats.Table{
 		ID:     "fig22",
 		Title:  "per-subcarrier SNR vs distance (boathouse)",
@@ -632,20 +501,14 @@ func renderFig22(_ Options, p *Partial, pre string) (map[float64][]ranging.SNRPo
 		if p.Counter(pre+"fig22/"+ik(di)+"/skip") > 0 {
 			continue
 		}
-		freqs := p.Sketch(pre + "fig22/" + ik(di) + "/freq").Values()
 		snrs := p.Sketch(pre + "fig22/" + ik(di) + "/snr").Values()
-		if len(freqs) == 0 {
+		if len(snrs) == 0 {
 			continue // stage never ran (e.g. partial from a non-zero shard)
 		}
-		pts := make([]ranging.SNRPoint, len(freqs))
-		for i := range freqs {
-			pts[i] = ranging.SNRPoint{FreqHz: freqs[i], SNRDB: snrs[i]}
-		}
-		out[dist] = pts
 		var vals []float64
-		for _, pt := range pts {
-			if !math.IsInf(pt.SNRDB, 0) {
-				vals = append(vals, pt.SNRDB)
+		for _, v := range snrs {
+			if !math.IsInf(v, 0) {
+				vals = append(vals, v)
 			}
 		}
 		minV, maxV := vals[0], vals[0]
@@ -655,13 +518,5 @@ func renderFig22(_ Options, p *Partial, pre string) (map[float64][]ranging.SNRPo
 		}
 		table.Rows = append(table.Rows, []string{stats.F(dist), stats.F(stats.Mean(vals)), stats.F(minV), stats.F(maxV)})
 	}
-	return out, table
-}
-
-// Fig22 estimates per-subcarrier SNR at 10/20/28 m (boathouse), using the
-// appendix's 8-symbol probe preamble.
-func Fig22(opt Options) (map[float64][]ranging.SNRPoint, *stats.Table) {
-	p := NewPartial()
-	accFig22(opt, p, "")
-	return renderFig22(opt, p, "")
+	return table
 }

@@ -36,11 +36,11 @@ func (o Options) serviceSessions() int {
 	return 1000
 }
 
-// Service runs the concurrent-session load test. With opt.ServiceAddr
+// runService runs the concurrent-session load test. With opt.ServiceAddr
 // empty it hosts the service in-process (same code path as uwposd, no
 // network daemon needed); otherwise it targets the live daemon at that
 // address.
-func Service(opt Options) *stats.Table {
+func runService(opt Options) *stats.Table {
 	n := opt.serviceSessions()
 	base, shutdown, err := serviceBase(opt)
 	if err != nil {

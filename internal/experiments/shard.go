@@ -7,14 +7,14 @@
 //   - an accumulate half that runs trials and streams their contributions
 //     into a Partial — a keyed bag of stats.Sketch quantile state and
 //     integer counters;
-//   - a render half that turns a Partial into the experiment's public
-//     outputs (raw series + stats.Table) without running anything.
+//   - a render half that turns a Partial into the experiment's
+//     stats.Table without running anything.
 //
-// The public FigXX functions are exactly accumulate-then-render over a
-// fresh Partial, so the unsharded path and the sharded path cannot drift:
-// they share one rendering code path, and the byte-identity invariant
-// reduces to "merged Partial == single-run Partial", which the stats
-// layer guarantees for exact-mode sketches (see stats.Sketch.Merge) and
+// A whole run is accumulate-then-render over a fresh Partial, so the
+// unsharded path and the sharded path cannot drift: they share one
+// rendering code path, and the byte-identity invariant reduces to
+// "merged Partial == single-run Partial", which the stats layer
+// guarantees for exact-mode sketches (see stats.Sketch.Merge) and
 // trivially for counters.
 //
 // Trial indices are global: shard i of c runs the contiguous span
@@ -306,12 +306,6 @@ type Experiment struct {
 	render func(opt Options, p *Partial, pre string) *stats.Table
 }
 
-// tableOf adapts a render half that also returns raw series to the
-// registry's table-only render.
-func tableOf[R any](render func(Options, *Partial, string) (R, *stats.Table)) func(Options, *Partial, string) *stats.Table {
-	return func(o Options, p *Partial, pre string) *stats.Table { _, t := render(o, p, pre); return t }
-}
-
 // noAcc is the accumulate half of an experiment with no mergeable state.
 func noAcc(Options, *Partial, string) {}
 
@@ -323,40 +317,40 @@ func whole(run func(Options) *stats.Table) func(Options, *Partial, string) *stat
 // registry lists every experiment in the paper's order, the order "all"
 // runs them in.
 var registry = []Experiment{
-	{ID: "fig06a", acc: accFig06a, render: tableOf(renderFig06a)},
-	{ID: "fig06b", acc: accFig06b, render: tableOf(renderFig06b)},
-	{ID: "fig06c", acc: accFig06c, render: tableOf(renderFig06c)},
-	{ID: "fig06d", acc: accFig06d, render: tableOf(renderFig06d)},
-	{ID: "fig11a", acc: accFig11a, render: tableOf(renderFig11a)},
-	{ID: "fig11b", acc: accFig11b, render: tableOf(renderFig11b)},
-	{ID: "fig12a", acc: accFig12a, render: func(o Options, p *Partial, pre string) *stats.Table { _, _, t := renderFig12a(o, p, pre); return t }},
-	{ID: "fig12b", acc: accFig12b, render: tableOf(renderFig12b)},
-	{ID: "fig13a", acc: accFig13a, render: tableOf(renderFig13a)},
-	{ID: "fig13b", acc: accFig13b, render: tableOf(renderFig13b)},
-	{ID: "fig14a", acc: accFig14a, render: tableOf(renderFig14a)},
-	{ID: "fig14b", acc: accFig14b, render: tableOf(renderFig14b)},
-	{ID: "fig15", acc: accFig15, render: tableOf(renderFig15)},
-	{ID: "fig16", acc: accFig16, render: tableOf(renderFig16)},
-	{ID: "fig22", acc: accFig22, render: tableOf(renderFig22)},
-	{ID: "fig18", acc: accFig18, render: tableOf(renderFig18)},
-	{ID: "fig19a", acc: accFig19a, render: tableOf(renderFig19a)},
-	{ID: "fig19b", acc: accFig19b, render: tableOf(renderFig19b)},
-	{ID: "fig19b-4dev", acc: accFourDevices, render: tableOf(renderFourDevices)},
-	{ID: "fig20", acc: accFig20, render: tableOf(renderFig20)},
-	{ID: "rtt", acc: accRTT, render: tableOf(renderRTT)},
-	{ID: "flipping", acc: accFlipping, render: func(o Options, p *Partial, pre string) *stats.Table { _, _, t := renderFlipping(o, p, pre); return t }},
-	{ID: "battery", acc: noAcc, render: whole(Battery)},
-	{ID: "streaming", Live: true, acc: noAcc, render: whole(Streaming)},
-	{ID: "ingest", Live: true, acc: noAcc, render: whole(Ingest)},
-	{ID: "ablation-bandwindow", acc: accAblationBandWindow, render: tableOf(renderAblationBandWindow)},
-	{ID: "ablation-prefilter", acc: accAblationPrefilter, render: tableOf(renderAblationPrefilter)},
-	{ID: "ablation-restarts", acc: accAblationRestarts, render: tableOf(renderAblationRestarts)},
-	{ID: "ablation-reportback", acc: accAblationReportBack, render: tableOf(renderAblationReportBack)},
+	{ID: "fig06a", acc: accFig06a, render: renderFig06a},
+	{ID: "fig06b", acc: accFig06b, render: renderFig06b},
+	{ID: "fig06c", acc: accFig06c, render: renderFig06c},
+	{ID: "fig06d", acc: accFig06d, render: renderFig06d},
+	{ID: "fig11a", acc: accFig11a, render: renderFig11a},
+	{ID: "fig11b", acc: accFig11b, render: renderFig11b},
+	{ID: "fig12a", acc: accFig12a, render: renderFig12a},
+	{ID: "fig12b", acc: accFig12b, render: renderFig12b},
+	{ID: "fig13a", acc: accFig13a, render: renderFig13a},
+	{ID: "fig13b", acc: accFig13b, render: renderFig13b},
+	{ID: "fig14a", acc: accFig14a, render: renderFig14a},
+	{ID: "fig14b", acc: accFig14b, render: renderFig14b},
+	{ID: "fig15", acc: accFig15, render: renderFig15},
+	{ID: "fig16", acc: accFig16, render: renderFig16},
+	{ID: "fig22", acc: accFig22, render: renderFig22},
+	{ID: "fig18", acc: accFig18, render: renderFig18},
+	{ID: "fig19a", acc: accFig19a, render: renderFig19a},
+	{ID: "fig19b", acc: accFig19b, render: renderFig19b},
+	{ID: "fig19b-4dev", acc: accFourDevices, render: renderFourDevices},
+	{ID: "fig20", acc: accFig20, render: renderFig20},
+	{ID: "rtt", acc: accRTT, render: renderRTT},
+	{ID: "flipping", acc: accFlipping, render: renderFlipping},
+	{ID: "battery", acc: noAcc, render: whole(runBattery)},
+	{ID: "streaming", Live: true, acc: noAcc, render: whole(runStreaming)},
+	{ID: "ingest", Live: true, acc: noAcc, render: whole(runIngest)},
+	{ID: "ablation-bandwindow", acc: accAblationBandWindow, render: renderAblationBandWindow},
+	{ID: "ablation-prefilter", acc: accAblationPrefilter, render: renderAblationPrefilter},
+	{ID: "ablation-restarts", acc: accAblationRestarts, render: renderAblationRestarts},
+	{ID: "ablation-reportback", acc: accAblationReportBack, render: renderAblationReportBack},
 	{ID: "headline", acc: accHeadline, render: renderHeadline},
 	// A load test of the uwposd serving stack: its table reports
 	// wall-clock latencies, so it stays out of "all" and the baseline
 	// timing gate.
-	{ID: "service", Live: true, OptIn: true, acc: noAcc, render: whole(Service)},
+	{ID: "service", Live: true, OptIn: true, acc: noAcc, render: whole(runService)},
 }
 
 // Experiments returns the registry in the paper's order.

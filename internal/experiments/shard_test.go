@@ -30,6 +30,14 @@ func runFull(t *testing.T, id string, opt Options) (*Partial, *stats.Table) {
 	if err != nil {
 		t.Fatalf("render %s: %v", id, err)
 	}
+	if table.ID != id {
+		t.Fatalf("%s rendered a table with id %q", id, table.ID)
+	}
+	for i, row := range table.Rows {
+		if len(row) != len(table.Header) {
+			t.Fatalf("%s row %d has %d cells, header has %d", id, i, len(row), len(table.Header))
+		}
+	}
 	return p, table
 }
 

@@ -12,7 +12,7 @@ import (
 	"uwpos/internal/stats"
 )
 
-// Streaming benchmarks the chunked detection subsystem on one synthetic
+// runStreaming benchmarks the chunked detection subsystem on one synthetic
 // dive-round stream: a 10 s microphone capture carrying two ranging
 // preambles, a baseline chirp and a calibration chirp in ambient noise.
 // It reports throughput for (a) one-shot vs chunked preamble detection —
@@ -26,7 +26,7 @@ import (
 // shared scan doing the work of three at the cost of one. Timing cells
 // vary run to run; the detection counts, transform counts and the match
 // verdicts are deterministic in the seed.
-func Streaming(opt Options) *stats.Table {
+func runStreaming(opt Options) *stats.Table {
 	rng := opt.rng()
 	p := sig.DefaultParams()
 	fs := p.SampleRate

@@ -36,13 +36,6 @@ func NewRanger(p sig.Params, det DetectorConfig, dp DirectPathConfig) *Ranger {
 	}
 }
 
-// ProcessDualMic detects preambles on mic1 and refines each arrival using
-// both microphone streams. mic2 may be nil, in which case the single-mic
-// path is used throughout.
-func (r *Ranger) ProcessDualMic(mic1, mic2 []float64) ([]TOAResult, error) {
-	return r.Refine(mic1, mic2, r.Detector.Detect(mic1))
-}
-
 // Refine runs channel estimation and the direct-path search for an
 // already-detected set — the receiver back half, split out so callers
 // that detect incrementally (a StreamDetector fed from audio-buffer

@@ -365,7 +365,7 @@ func TestEndToEndThroughChannel(t *testing.T) {
 	env.AddNoise(streamB, fs, rng)
 
 	r := NewRanger(p, DetectorConfig{}, DirectPathConfig{})
-	results, err := r.ProcessDualMic(streamA, streamB)
+	results, err := r.Refine(streamA, streamB, r.Detector.Detect(streamA))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -154,16 +154,14 @@ func (nw *Network) estimateArrival(d *simDevice, method RangingMethod, wave []fl
 	mic0 := d.stack.Mic(0)
 	switch method {
 	case MethodDualMic, MethodBottomMicOnly, MethodTopMicOnly:
-		var m1, m2 []float64
+		primary, second := 0, 1
 		switch method {
-		case MethodDualMic:
-			m1, m2 = mic0, d.stack.Mic(1)
 		case MethodBottomMicOnly:
-			m1, m2 = mic0, nil
+			second = -1
 		case MethodTopMicOnly:
-			m1, m2 = d.stack.Mic(1), nil
+			primary, second = 1, -1
 		}
-		results, err := d.ranger.ProcessDualMic(m1, m2)
+		results, err := nw.receive(d, primary, second)
 		if err != nil {
 			return 0, false
 		}

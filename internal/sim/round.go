@@ -327,26 +327,36 @@ func (nw *Network) ingestChunk() int {
 	return detectChunk
 }
 
-// detectMessages runs detection + refinement + MFSK decoding (sender ID,
-// then sync-source ID) over the device's current streams. Detection runs
-// on the streaming pipeline exactly as a phone would run it — buffer by
-// buffer as the OS delivers audio; refinement then revisits the complete
-// streams (channel estimation needs the raw samples around each
-// detection anyway).
-func (nw *Network) detectMessages(d *simDevice) []detected {
-	mic0 := d.stack.Mic(0)
-	var mic1 []float64
-	if d.stack.NumMics() > 1 {
-		mic1 = d.stack.Mic(1)
-	}
+// receive runs the device's §2.2 receiver over its current streams, the
+// one receive path of rounds and ranging exchanges alike. Detection runs
+// on mic primary's streaming pipeline exactly as a phone would run it —
+// buffer by buffer as the OS delivers audio; refinement then revisits the
+// complete streams (channel estimation needs the raw samples around each
+// detection anyway), joined by mic second's when second ≥ 0.
+func (nw *Network) receive(d *simDevice, primary, second int) ([]ranging.TOAResult, error) {
 	sd := d.ranger.Detector.StreamWith(nw.cfg.IngestMeter)
-	for chunk := range d.stack.MicChunks(0, nw.ingestChunk()) {
+	for chunk := range d.stack.MicChunks(primary, nw.ingestChunk()) {
 		sd.Feed(chunk)
 	}
-	toas, err := d.ranger.Refine(mic0, mic1, sd.Flush())
+	var mic2 []float64
+	if second >= 0 {
+		mic2 = d.stack.Mic(second)
+	}
+	return d.ranger.Refine(d.stack.Mic(primary), mic2, sd.Flush())
+}
+
+// detectMessages runs the receiver (both mics when the device has two)
+// and MFSK-decodes each arrival's sender ID, then sync-source ID.
+func (nw *Network) detectMessages(d *simDevice) []detected {
+	second := -1
+	if d.stack.NumMics() > 1 {
+		second = 1
+	}
+	toas, err := nw.receive(d, 0, second)
 	if err != nil {
 		return nil
 	}
+	mic0 := d.stack.Mic(0)
 	mfsk := sig.NewMFSK(nw.N(), nw.params.SampleRate)
 	half := nw.idLen / 2
 	var out []detected
