@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -213,6 +214,9 @@ func TestRTTTableMatchesProtocol(t *testing.T) {
 	for i, row := range tab.Rows {
 		if row[0] != stats.F(float64(3+i)) || row[1] != want[i] {
 			t.Errorf("row %d: N %s analytic %s, want N %d analytic %s", i, row[0], row[1], 3+i, want[i])
+		}
+		if _, err := strconv.ParseFloat(row[2], 64); err != nil {
+			t.Errorf("row %d: measured cell %q is not a number", i, row[2])
 		}
 	}
 }

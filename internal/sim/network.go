@@ -296,14 +296,28 @@ func (nw *Network) linkGain(a, b *simDevice, micIdx int, posA, posB geom.Vec3) f
 	return g
 }
 
+// readMics reports whether a later stage of the phase reads device dev's
+// mic stream mic; only those streams are rendered into.
+type readMics func(dev, mic int) bool
+
+// everyMic serves calibration and the ranging messages: every receiver
+// scans both mics.
+func everyMic(int, int) bool { return true }
+
+// leaderMic0 is the report phase: only the leader demodulates, on mic 0.
+func leaderMic0(dev, mic int) bool { return dev == 0 && mic == 0 }
+
 // renderTransmission pushes wave (transmitted by dev from speaker index
-// txIdx) through the channel into every other device's microphone streams.
-func (nw *Network) renderTransmission(tx *simDevice, txIdx int, wave []float64, tTx float64) {
+// txIdx) through the channel into the microphone streams read selects,
+// its own included. A receiver the phase never reads still draws its
+// channel (surface jitter, then scattering per mic), so the random stream,
+// and every later draw, is the same whichever streams a phase renders.
+func (nw *Network) renderTransmission(tx *simDevice, txIdx int, wave []float64, tTx float64, read readMics) {
 	posTx := nw.posAt(tx, tTx)
 	spk := tx.spec.Model.SpeakerWorldPosition(posTx, tx.spec.Orient)
 	for _, rx := range nw.devices {
 		if rx.id == tx.id {
-			nw.renderSelfLoopback(tx, txIdx, wave)
+			nw.renderSelfLoopback(tx, txIdx, wave, read)
 			continue
 		}
 		fault, hasFault := nw.faults[pairKey(tx.id, rx.id)]
@@ -331,6 +345,9 @@ func (nw *Network) renderTransmission(tx *simDevice, txIdx int, wave []float64, 
 			})
 			taps = jitter.Apply(taps)
 			taps = nw.env.WithScatter(taps, nw.rng)
+			if !read(rx.id, mi) {
+				continue
+			}
 			gain := nw.linkGain(tx, rx, mi, posTx, posRx)
 			for ti := range taps {
 				taps[ti].Amplitude *= gain
@@ -353,12 +370,16 @@ func (nw *Network) renderToMic(rx *simDevice, micIdx int, tx *simDevice, txIdx i
 	}
 }
 
-// renderSelfLoopback adds the near-field speaker→own-mic path (δ₂): a
-// strong direct tap with centimetre delay, used by self-calibration.
-func (nw *Network) renderSelfLoopback(d *simDevice, txIdx int, wave []float64) {
+// renderSelfLoopback adds the near-field speaker→own-mic path (δ₂) into
+// the mics read selects: a strong direct tap with centimetre delay, used
+// by self-calibration.
+func (nw *Network) renderSelfLoopback(d *simDevice, txIdx int, wave []float64, read readMics) {
 	tTx := d.stack.SpeakerIndexToTime(float64(txIdx))
 	c := nw.env.SoundSpeed(d.spec.Pos.Z)
 	for mi := 0; mi < d.stack.NumMics(); mi++ {
+		if !read(d.id, mi) {
+			continue
+		}
 		micOff := d.spec.Model.MicOffsets[mi].Sub(d.spec.Model.SpeakerOffset).Norm()
 		if micOff < 0.01 {
 			micOff = 0.01

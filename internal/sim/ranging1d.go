@@ -98,7 +98,7 @@ func (nw *Network) RangeOnce(ctx context.Context, method RangingMethod) (RangeTr
 	txIdx := int(txAt * fs)
 	a.txIndex = txIdx
 	a.stack.WriteSpeaker(txIdx, wave)
-	nw.renderTransmission(a, txIdx, wave, a.stack.SpeakerIndexToTime(float64(txIdx)))
+	nw.renderTransmission(a, txIdx, wave, a.stack.SpeakerIndexToTime(float64(txIdx)), everyMic)
 
 	// B estimates arrival and replies.
 	if err := ctx.Err(); err != nil {
@@ -111,7 +111,9 @@ func (nw *Network) RangeOnce(ctx context.Context, method RangingMethod) (RangeTr
 	replyIdx := b.stack.ReplyIndex(int(math.Round(arrB)), replyGap)
 	b.txIndex = replyIdx
 	b.stack.WriteSpeaker(replyIdx, wave)
-	nw.renderTransmission(b, replyIdx, wave, b.stack.SpeakerIndexToTime(float64(replyIdx)))
+	// Only A listens from here on, so B's own loopback is not rendered.
+	nw.renderTransmission(b, replyIdx, wave, b.stack.SpeakerIndexToTime(float64(replyIdx)),
+		func(dev, _ int) bool { return dev == a.id })
 
 	// A estimates the reply arrival, skipping its own transmission.
 	if err := ctx.Err(); err != nil {

@@ -76,7 +76,7 @@ func (nw *Network) RunRound(ctx context.Context) (*RoundResult, error) {
 	queryWave := nw.messageWave(0, 0)
 	leader.txIndex = queryIdx
 	leader.stack.WriteSpeaker(queryIdx, queryWave)
-	nw.renderTransmission(leader, queryIdx, queryWave, leader.stack.SpeakerIndexToTime(float64(queryIdx)))
+	nw.renderTransmission(leader, queryIdx, queryWave, leader.stack.SpeakerIndexToTime(float64(queryIdx)), everyMic)
 	releaseWave(queryWave)
 
 	// Slot-order scheduling; devices that hear nothing yet retry in a
@@ -220,7 +220,7 @@ func (nw *Network) calibrateAll(ctx context.Context) error {
 		idx := int(calWriteAt * fs)
 		idxs[i] = idx
 		d.stack.WriteSpeaker(idx, wave)
-		nw.renderTransmission(d, idx, wave, d.stack.SpeakerIndexToTime(float64(idx)))
+		nw.renderTransmission(d, idx, wave, d.stack.SpeakerIndexToTime(float64(idx)), everyMic)
 	}
 	for i, d := range nw.devices {
 		if err := ctx.Err(); err != nil {
@@ -272,7 +272,7 @@ func (nw *Network) scheduleReply(d *simDevice) bool {
 	wave := nw.messageWave(d.id, src.From)
 	d.txIndex = txIdx
 	d.stack.WriteSpeaker(txIdx, wave)
-	nw.renderTransmission(d, txIdx, wave, d.stack.SpeakerIndexToTime(float64(txIdx)))
+	nw.renderTransmission(d, txIdx, wave, d.stack.SpeakerIndexToTime(float64(txIdx)), everyMic)
 	releaseWave(wave)
 	return true
 }
@@ -518,11 +518,12 @@ func (nw *Network) reportBack(res *RoundResult, table *protocol.Table) error {
 			slot = nw.proto.SlotTime(d.sync.From)
 		}
 		// All devices report simultaneously in disjoint FSK sub-bands
-		// (§2.4), so the report slot is common.
+		// (§2.4), so the report slot is common, and only the leader's
+		// mic 0 is demodulated below.
 		offset := nw.reportAt() - slot
 		txIdx := d.stack.ReplyIndex(int(math.Round(syncArr.toa.ArrivalIdx)), offset)
 		d.stack.WriteSpeaker(txIdx, wave)
-		nw.renderTransmission(d, txIdx, wave, d.stack.SpeakerIndexToTime(float64(txIdx)))
+		nw.renderTransmission(d, txIdx, wave, d.stack.SpeakerIndexToTime(float64(txIdx)), leaderMic0)
 	}
 	// Leader demodulates each device's band; alignment is predicted from
 	// the device's ranging arrival plus the slot arithmetic.
