@@ -164,38 +164,48 @@ const kernelTaps = 33
 // order of the direct scatter loop (for each i, for each k: dst[i+k] +=).
 // The kernel computes six consecutive outputs at a time in register
 // accumulators seeded from dst, running all 33 terms into them before the
-// store; outputs whose window is clipped by either end of the wave run the
-// same order one at a time. Blocks are six wide, not eight: eight
-// accumulators, their eight products and the kernel weight need 17 XMM
-// registers where Go's amd64 ABI leaves 15, so two accumulators would go
-// to the stack on every term. Zero wave samples are not skipped: their ±0
-// products leave every value but −0 unchanged, and a dst that starts at +0
-// never holds −0, since a rounded sum is −0 only when both operands are.
+// store; on a CPU with AVX2 (dsp.HasAVX2) it computes sixteen, four to a
+// YMM register, each lane repeating the scalar order. Outputs whose window
+// is clipped by either end of the wave, and those left over after the last
+// block, run the same order one at a time. Blocks are six wide, not eight:
+// eight accumulators, their eight products and the kernel weight need 17
+// XMM registers where Go's amd64 ABI leaves 15, so two accumulators would
+// go to the stack on every term. Zero wave samples are not skipped: their
+// ±0 products leave every value but −0 unchanged, and a dst that starts at
+// +0 never holds −0, since a rounded sum is −0 only when both operands are.
 func Render(dst, wave []float64, taps []Tap, txStart int, fs float64) {
+	render(dst, wave, taps, txStart, fs, dsp.HasAVX2())
+}
+
+// render is Render with the block path chosen by the caller: avx2 runs
+// the full 16-output blocks in assembly, and must be false where
+// dsp.HasAVX2 is.
+func render(dst, wave []float64, taps []Tap, txStart int, fs float64, avx2 bool) {
 	var kern [kernelTaps]float64
 	for _, tap := range taps {
 		delay := tap.DelaySec * fs
 		whole := int(math.Floor(delay))
 		frac := delay - float64(whole)
 		dsp.FractionalDelayTaps(kern[:], frac)
-		renderTap(dst, wave, tap.Amplitude, &kern, txStart+whole-kernelTaps/2)
+		renderTap(dst, wave, tap.Amplitude, &kern, txStart+whole-kernelTaps/2, avx2)
 	}
 }
 
-// renderTile is the number of outputs, a multiple of the six-output
-// block, whose pre-scaled wave samples renderTap stages on its stack at a
-// time.
+// renderTile is the most outputs whose pre-scaled wave samples renderTap
+// stages on its stack at a time; each tile is cut down to a whole number
+// of blocks.
 const renderTile = 510
 
 // renderTap adds amp·wave through kern into dst, kern[0] landing at
 // dst[base]: dst[j] += (wave[j-base-k]·amp)·kern[k] for every in-range k,
-// descending.
-func renderTap(dst, wave []float64, amp float64, kern *[kernelTaps]float64, base int) {
+// descending. The float64 conversion around each product keeps Go from
+// fusing it into the add, as it otherwise does on arm64.
+func renderTap(dst, wave []float64, amp float64, kern *[kernelTaps]float64, base int, avx2 bool) {
 	const last = kernelTaps - 1
 	lo := max(base, 0)
 	hi := min(base+len(wave)+last, len(dst))
-	// Outputs in [full, end) see all 33 terms; blocks of six cover as much
-	// of that span as they can.
+	// Outputs in [full, end) see all 33 terms; blocks cover as much of
+	// that span as they can.
 	full := min(max(base+last, lo), hi)
 	end := min(max(base+len(wave), full), hi)
 	var rk [kernelTaps]float64 // kern reversed: rk[m] pairs with wave[j-base-last+m]
@@ -206,27 +216,36 @@ func renderTap(dst, wave []float64, amp float64, kern *[kernelTaps]float64, base
 	for ; j < full; j++ {
 		dst[j] = renderEdge(dst[j], wave, amp, kern, j-base)
 	}
+	block := 6
+	if avx2 {
+		block = 16
+	}
 	// sw[m] = wave[j-base-last+m]·amp for the current tile of outputs.
 	var sw [renderTile + last]float64
-	for j+6 <= end {
+	for j+block <= end {
 		n := min(end-j, renderTile)
-		n -= n % 6
+		n -= n % block
 		w := wave[j-base-last : j-base+n]
 		t := sw[:len(w)]
 		for m, v := range w {
 			t[m] = v * amp
+		}
+		if avx2 {
+			renderBlocksAVX2(dst[j:j+n], t, &rk)
+			j += n
+			continue
 		}
 		for b := 0; b < n; b += 6 {
 			s := (*[kernelTaps + 5]float64)(sw[b:])
 			d := (*[6]float64)(dst[j+b:])
 			t0, t1, t2, t3, t4, t5 := d[0], d[1], d[2], d[3], d[4], d[5]
 			for m, kv := range &rk {
-				t0 += s[m] * kv
-				t1 += s[m+1] * kv
-				t2 += s[m+2] * kv
-				t3 += s[m+3] * kv
-				t4 += s[m+4] * kv
-				t5 += s[m+5] * kv
+				t0 += float64(s[m] * kv)
+				t1 += float64(s[m+1] * kv)
+				t2 += float64(s[m+2] * kv)
+				t3 += float64(s[m+3] * kv)
+				t4 += float64(s[m+4] * kv)
+				t5 += float64(s[m+5] * kv)
 			}
 			d[0], d[1], d[2], d[3], d[4], d[5] = t0, t1, t2, t3, t4, t5
 		}
@@ -242,7 +261,7 @@ func renderTap(dst, wave []float64, amp float64, kern *[kernelTaps]float64, base
 func renderEdge(acc float64, wave []float64, amp float64, kern *[kernelTaps]float64, q int) float64 {
 	for k := min(q, kernelTaps-1); k >= 0 && q-k < len(wave); k-- {
 		sv := wave[q-k] * amp
-		acc += sv * kern[k]
+		acc += float64(sv * kern[k])
 	}
 	return acc
 }

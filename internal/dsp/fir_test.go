@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"uwpos/internal/kerneltest"
 )
 
 // filterRef is the one-output-at-a-time direct-form loop Filter ran
@@ -18,7 +20,7 @@ func filterRef(h, x []float64) []float64 {
 			kmax = n + 1
 		}
 		for k := 0; k < kmax; k++ {
-			s += h[k] * x[n-k]
+			s += float64(h[k] * x[n-k])
 		}
 		out[n] = s
 	}
@@ -43,8 +45,16 @@ func requireSameBits(t *testing.T, what string, got, want []float64) {
 // block width, Filter is bit-identical to the reference loop — and so is
 // every buffer of a random streaming partition, computed the way the
 // ingest prefilter computes it: min(len(h)-1, rawFed) carried history
-// samples ahead of the buffer, outputs from the history's end on.
+// samples ahead of the buffer, outputs from the history's end on. Then,
+// around every AVX2 block edge (15–49 outputs past the warm-up), with
+// and without warm-up outputs ahead of them, over inputs holding special
+// values, into a dst at an odd offset of a guarded buffer: every output
+// matches and no value outside dst changes. Both block paths run.
 func TestFilterFromMatchesReference(t *testing.T) {
+	kerneltest.ForEachPath(t, HasAVX2(), filterFromMatchesReference)
+}
+
+func filterFromMatchesReference(t *testing.T, avx2 bool) {
 	rng := rand.New(rand.NewSource(1))
 	for nh := 1; nh <= 300; nh++ {
 		h := randReal(rng, nh)
@@ -56,15 +66,40 @@ func TestFilterFromMatchesReference(t *testing.T) {
 				}
 			}
 			want := filterRef(h, x)
-			requireSameBits(t, "Filter", filter(h, x), want)
+			got := make([]float64, n)
+			filterFrom(got, h, x, 0, avx2)
+			requireSameBits(t, "Filter", got, want)
 
 			for rawFed := 0; rawFed < n; {
 				buf := min(1+rng.Intn(2*nh+9), n-rawFed)
 				tailLen := min(nh-1, rawFed)
 				got := make([]float64, buf)
-				FilterFrom(got, h, x[rawFed-tailLen:rawFed+buf], tailLen)
+				filterFrom(got, h, x[rawFed-tailLen:rawFed+buf], tailLen, avx2)
 				requireSameBits(t, "FilterFrom split", got, want[rawFed:rawFed+buf])
 				rawFed += buf
+			}
+		}
+	}
+
+	for _, nh := range []int{1, 2, 15, 16, 17, 255} {
+		for _, n := range []int{15, 16, 17, 31, 32, 33, 47, 48, 49} {
+			for _, warm := range []int{0, nh - 1} {
+				for _, off := range []int{1, 3} {
+					h := randReal(rng, nh)
+					if rng.Intn(2) == 0 {
+						kerneltest.Sprinkle(rng, h)
+					}
+					x := randReal(rng, nh-1+n)
+					kerneltest.Sprinkle(rng, x)
+					from := nh - 1 - warm
+					want := filterRef(h, x)[from:]
+					dst, intact := kerneltest.Guarded(off, warm+n)
+					filterFrom(dst, h, x, from, avx2)
+					requireSameBits(t, "FilterFrom edge", dst, want)
+					if !intact() {
+						t.Fatalf("nh %d, n %d, warm %d, offset %d: a value outside dst changed", nh, n, warm, off)
+					}
+				}
 			}
 		}
 	}
@@ -77,9 +112,20 @@ func filter(h, x []float64) []float64 {
 	return out
 }
 
+// TestFilterFromEmptyTaps: with no taps every output is +0, through the
+// 8-output blocks and the remainder alike. filterFrom hands no empty h to
+// the AVX2 kernel, whose tap loop needs one tap, so the avx2 leg checks
+// that guard.
 func TestFilterFromEmptyTaps(t *testing.T) {
-	got := filter(nil, []float64{1, 2, 3, 4, 5, 6, 7, 8, 9})
-	requireSameBits(t, "empty h", got, make([]float64, 9))
+	x := make([]float64, 41)
+	for i := range x {
+		x[i] = float64(i + 1)
+	}
+	kerneltest.ForEachPath(t, HasAVX2(), func(t *testing.T, avx2 bool) {
+		got := make([]float64, len(x))
+		filterFrom(got, nil, x, 0, avx2)
+		requireSameBits(t, "empty h", got, make([]float64, len(x)))
+	})
 }
 
 // BenchmarkFilter is one 4096-sample ingest buffer through the 255-tap

@@ -38,7 +38,7 @@ func (r *prefilterRef) push(chunk []float64) {
 		base := r.tailLen + j
 		var sum float64
 		for k := 0; k < kmax; k++ {
-			sum += r.fir[k] * fbuf[base-k]
+			sum += float64(r.fir[k] * fbuf[base-k])
 		}
 		fout[j] = sum
 	}
