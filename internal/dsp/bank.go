@@ -2,6 +2,7 @@ package dsp
 
 import (
 	"math"
+	"slices"
 	"sync/atomic"
 )
 
@@ -104,11 +105,15 @@ func (b *MatcherBank) Matcher(i int) *Matcher { return b.ms[i] }
 // Stream opens an incremental scanning session over the bank: feed the
 // stream chunk by chunk and collect each template's normalized
 // correlation lags as they become computable.
-func (b *MatcherBank) Stream() *BankStream {
+func (b *MatcherBank) Stream() *BankStream { return b.stream(useAVX2) }
+
+// stream opens a session whose blocks run on the path avx2 selects (see
+// fftSoA).
+func (b *MatcherBank) stream(avx2 bool) *BankStream {
 	return &BankStream{
 		bank: b,
+		avx2: avx2,
 		buf:  GetF64(b.block),
-		work: getF64Raw(b.block),
 		fxre: getF64Raw(b.block / 2),
 		fxim: getF64Raw(b.block / 2),
 		zre:  getF64Raw(b.block / 2),
@@ -132,6 +137,7 @@ func (b *MatcherBank) Stream() *BankStream {
 // template spectra read-only, so concurrent sessions are safe).
 type BankStream struct {
 	bank *MatcherBank
+	avx2 bool // the blocks' kernel path, fixed at Stream
 
 	// buf holds stream samples from the current block start (a multiple
 	// of hop); pre holds the energy prefix sums aligned with buf:
@@ -147,7 +153,6 @@ type BankStream struct {
 
 	emit [][]float64 // per-template emission buffers, reused across calls
 
-	work       []float64 // per-template lag staging before emit append
 	fxre, fxim []float64 // shared block spectrum, packed permuted order
 	zre, zim   []float64 // per-template fold output / inverse scratch
 
@@ -233,39 +238,41 @@ func (s *BankStream) Flush() [][]float64 {
 		s.start += s.bank.hop
 	}
 	PutF64(s.buf)
-	PutF64(s.work)
 	PutF64(s.fxre)
 	PutF64(s.fxim)
 	PutF64(s.zre)
 	PutF64(s.zim)
 	PutF64(s.pre)
-	s.buf, s.work, s.pre = nil, nil, nil
+	s.buf, s.pre = nil, nil
 	s.fxre, s.fxim, s.zre, s.zim = nil, nil, nil, nil
 	return s.emit
 }
 
 // runBlock transforms the block that starts off samples into the buffer
 // (buffered samples zero-padded to the block length) once and appends
-// take(i) lags to each template's emission buffer. take(i) ≤ hop;
-// non-positive takes skip the template's inverse transform entirely.
+// take(i) lags to each template's emission buffer, computing them in
+// place there. take(i) ≤ hop; non-positive takes skip the template's
+// inverse transform entirely.
 func (s *BankStream) runBlock(off int, take func(i int) int) {
 	n := s.bufLen - off
 	if n > s.bank.block {
 		n = s.bank.block
 	}
 	hm := s.bank.block / 2
-	rfftPacked(s.fxre, s.fxim, s.buf[off:off+n])
+	rfftPacked(s.fxre, s.fxim, s.buf[off:off+n], s.avx2)
 	bankForwardCount.Add(1)
 	for i, mt := range s.bank.ms {
 		t := take(i)
 		if t <= 0 {
 			continue
 		}
-		foldSpecMulTo(s.zre, s.zim, s.fxre, s.fxim, mt.spectrum(s.bank.block), s.bank.block)
-		fftSoA(s.zre, s.zim, true)
-		interleaveScaled(s.work[:t], s.zre, s.zim, hm)
-		normalizeWithPrefix(s.work[:t], s.pre[off:], mt.TemplateLen(), mt.energy)
-		s.emit[i] = append(s.emit[i], s.work[:t]...)
+		foldSpecMulTo(s.zre, s.zim, s.fxre, s.fxim, mt.spectrum(s.bank.block), s.bank.block, s.avx2)
+		fftSoA(s.zre, s.zim, true, s.avx2)
+		e := slices.Grow(s.emit[i], t)
+		r := e[len(e) : len(e)+t]
+		interleaveScaled(r, s.zre, s.zim, hm, s.avx2)
+		normalizeWithPrefix(r, s.pre[off:], mt.TemplateLen(), mt.energy, s.avx2)
+		s.emit[i] = e[:len(e)+t]
 	}
 }
 
@@ -309,8 +316,9 @@ func neumaierAdd(sum, comp, y float64) (float64, float64) {
 // reading window energies off a precomputed energy prefix: prefix[k] must
 // hold the cumulative Σ x² up to (but not including) the stream sample
 // aligned with lag r[k]. One prefix serves every template of a block.
-// Windows of (near-)zero energy yield 0.
-func normalizeWithPrefix(r, prefix []float64, hlen int, eh float64) {
+// Windows of (near-)zero energy yield 0. With avx2, whole runs of four
+// lags are normalized in assembly.
+func normalizeWithPrefix(r, prefix []float64, hlen int, eh float64, avx2 bool) {
 	if eh == 0 {
 		for i := range r {
 			r[i] = 0
@@ -320,6 +328,10 @@ func normalizeWithPrefix(r, prefix []float64, hlen int, eh float64) {
 	const eps = 1e-30
 	lo := prefix[:len(r)]
 	hi := prefix[hlen:][:len(r)]
+	if m := len(r) &^ 3; avx2 && m > 0 {
+		normalizeAVX2(r[:m], lo[:m], hi[:m], eh, eps)
+		r, lo, hi = r[m:], lo[m:], hi[m:]
+	}
 	for k := range r {
 		ex := hi[k] - lo[k]
 		den := math.Sqrt(ex * eh)

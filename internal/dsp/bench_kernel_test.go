@@ -21,7 +21,7 @@ func BenchmarkFFTPow2(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				copy(work, x)
-				fftPow2(work, false)
+				fftPow2(work, false, useAVX2)
 			}
 		})
 	}
@@ -40,7 +40,7 @@ func BenchmarkSpectrumMultiply(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		foldSpecMulTo(dre, dim, zre, zim, fs, m)
+		foldSpecMulTo(dre, dim, zre, zim, fs, m, useAVX2)
 	}
 }
 
@@ -63,6 +63,6 @@ func BenchmarkNormalizeFold(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(work, src)
-		normalizeWithPrefix(work, prefix, hlen, 3.7)
+		normalizeWithPrefix(work, prefix, hlen, 3.7, useAVX2)
 	}
 }

@@ -48,8 +48,9 @@ func NextPow2(n int) int {
 // fftPow2 is the shared power-of-two transform entry for complex128
 // callers: it deinterleaves into the split-layout scratch (applying the
 // kernel's digit-reversal as a fused gather), runs the SoA radix-4/2
-// ladder (see fft_soa.go), and reinterleaves the natural-order result.
-func fftPow2(x []complex128, inverse bool) {
+// ladder (see fft_soa.go) on the path avx2 selects, and reinterleaves the
+// natural-order result.
+func fftPow2(x []complex128, inverse, avx2 bool) {
 	n := len(x)
 	if n <= 1 {
 		return
@@ -60,7 +61,7 @@ func fftPow2(x []complex128, inverse bool) {
 		v := x[p]
 		re[i], im[i] = real(v), imag(v)
 	}
-	fftSoA(re, im, inverse)
+	fftSoA(re, im, inverse, avx2)
 	for i := range x {
 		x[i] = complex(re[i], im[i])
 	}
@@ -99,7 +100,7 @@ func bluesteinFor(n int) *bluestein {
 			bs.fb[bs.m-k] = c
 		}
 	}
-	fftPow2(bs.fb, false)
+	fftPow2(bs.fb, false, useAVX2)
 	// A racing builder computes bit-identical tables, so either winner is
 	// fine; LoadOrStore just keeps one alive.
 	actual, _ := bluesteinCache.LoadOrStore(n, bs)
@@ -128,17 +129,20 @@ func NewPlan(n int) *Plan {
 }
 
 // Forward computes the DFT of x in place. len(x) must equal the plan length.
-func (p *Plan) Forward(x []complex128) { p.transform(x, false) }
+func (p *Plan) Forward(x []complex128) { p.transform(x, false, useAVX2) }
 
 // Inverse computes the inverse DFT of x in place (with 1/N scaling).
-func (p *Plan) Inverse(x []complex128) { p.transform(x, true) }
+func (p *Plan) Inverse(x []complex128) { p.transform(x, true, useAVX2) }
 
-func (p *Plan) transform(x []complex128, inverse bool) {
+// transform runs the plan's transforms on the path avx2 selects (see
+// fftSoA). The cached Bluestein chirp spectrum is built on the default
+// path; both paths give it the same bits.
+func (p *Plan) transform(x []complex128, inverse, avx2 bool) {
 	if len(x) != p.n {
 		panic(fmt.Sprintf("dsp: plan length %d, input length %d", p.n, len(x)))
 	}
 	if p.bs == nil { // power-of-two fast path
-		fftPow2(x, inverse)
+		fftPow2(x, inverse, avx2)
 		if inverse {
 			s := complex(1/float64(p.n), 0)
 			for i := range x {
@@ -160,11 +164,11 @@ func (p *Plan) transform(x []complex128, inverse bool) {
 		}
 		a[i] = v * cmplx.Conj(p.bs.chirp[i])
 	}
-	fftPow2(a, false)
+	fftPow2(a, false, avx2)
 	for i := 0; i < m; i++ {
 		a[i] *= p.bs.fb[i]
 	}
-	fftPow2(a, true)
+	fftPow2(a, true, avx2)
 	invM := complex(1/float64(m), 0)
 	for k := 0; k < n; k++ {
 		v := a[k] * invM * cmplx.Conj(p.bs.chirp[k])

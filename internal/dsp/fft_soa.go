@@ -23,8 +23,12 @@ import "math/bits"
 
 // fftSoA transforms the split-layout vector in place (forward when
 // inverse is false). len(re) must equal len(im) and be a power of two;
-// input in digit-reversed order, output natural.
-func fftSoA(re, im []float64, inverse bool) {
+// input in digit-reversed order, output natural. With avx2 the stages
+// whose quarter length is a multiple of 4, and a leading radix-4 stage of
+// at least four butterflies, run in assembly (see avx2_amd64.s) with the
+// Go loops' arithmetic in every lane; avx2 must be false where HasAVX2
+// is.
+func fftSoA(re, im []float64, inverse, avx2 bool) {
 	n := len(re)
 	if n <= 1 {
 		return
@@ -34,13 +38,21 @@ func fftSoA(re, im []float64, inverse bool) {
 		radix2Pass(re, im)
 		size = 2
 	} else {
-		radix4First(re, im, inverse)
+		first4(re, im, inverse, avx2)
 		size = 4
 	}
 	for ; size < n; size *= 4 {
-		if inverse {
+		switch {
+		case avx2 && size%4 == 0:
+			w1r, w1i, w2r, w2i, w3r, w3i := stagePlanes(4 * size)
+			if inverse {
+				radix4StageInvAVX2(re, im[:n], w1r, w1i, w2r, w2i, w3r, w3i)
+			} else {
+				radix4StageFwdAVX2(re, im[:n], w1r, w1i, w2r, w2i, w3r, w3i)
+			}
+		case inverse:
 			radix4StageInv(re, im, size)
-		} else {
+		default:
 			radix4StageFwd(re, im, size)
 		}
 	}
@@ -56,21 +68,45 @@ func fftSoA(re, im []float64, inverse bool) {
 // The stage ladder mirrors fftSoA's in reverse: radix-4 stages from block
 // length n down, ending in the same twiddle-free radix4First (even
 // log2(n)) or radix2Pass (odd) — which is what makes the output
-// permutation exactly buildPerm's digit order.
-func fftSoADIF(re, im []float64) {
+// permutation exactly buildPerm's digit order. avx2 selects the path as
+// in fftSoA.
+func fftSoADIF(re, im []float64, avx2 bool) {
 	n := len(re)
 	if n <= 1 {
 		return
 	}
 	size := n
 	for ; size >= 8; size >>= 2 {
-		dif4Stage(re, im, size)
+		if avx2 && size >= 16 {
+			w1r, w1i, w2r, w2i, w3r, w3i := stagePlanes(size)
+			dif4StageAVX2(re, im[:n], w1r, w1i, w2r, w2i, w3r, w3i)
+		} else {
+			dif4Stage(re, im, size)
+		}
 	}
 	if size == 4 {
-		radix4First(re, im, false)
+		first4(re, im, false, avx2)
 	} else {
 		radix2Pass(re, im)
 	}
+}
+
+// stagePlanes returns the twiddle planes of the radix-4 stage of total
+// length m, cut to its quarter length: the operands of the stage kernels.
+func stagePlanes(m int) (w1r, w1i, w2r, w2i, w3r, w3i []float64) {
+	st := stageTwiddlesFor(m)
+	l := m / 4
+	return st.w1re[:l], st.w1im[:l], st.w2re[:l], st.w2im[:l], st.w3re[:l], st.w3im[:l]
+}
+
+// first4 runs radix4First, in assembly when avx2 and the planes hold a
+// whole number of four-butterfly passes.
+func first4(re, im []float64, inverse, avx2 bool) {
+	if n := len(re); avx2 && n%16 == 0 {
+		radix4FirstAVX2(re, im[:n], inverse)
+		return
+	}
+	radix4First(re, im, inverse)
 }
 
 // dif4Stage splits blocks of length size into four quarters: the
@@ -107,11 +143,11 @@ func dif4Stage(re, im []float64, size int) {
 			t3r, t3i := br[j]-dr[j], bi[j]-di[j]
 			ar[j], ai[j] = t0r+t2r, t0i+t2i
 			vr, vi := t1r+t3i, t1i-t3r // t1 - j·t3
-			br[j], bi[j] = vr*w1r[j]-vi*w1i[j], vr*w1i[j]+vi*w1r[j]
+			br[j], bi[j] = float64(vr*w1r[j])-float64(vi*w1i[j]), float64(vr*w1i[j])+float64(vi*w1r[j])
 			ur, ui := t0r-t2r, t0i-t2i
-			cr[j], ci[j] = ur*w2r[j]-ui*w2i[j], ur*w2i[j]+ui*w2r[j]
+			cr[j], ci[j] = float64(ur*w2r[j])-float64(ui*w2i[j]), float64(ur*w2i[j])+float64(ui*w2r[j])
 			zr, zi := t1r-t3i, t1i+t3r // t1 + j·t3
-			dr[j], di[j] = zr*w3r[j]-zi*w3i[j], zr*w3i[j]+zi*w3r[j]
+			dr[j], di[j] = float64(zr*w3r[j])-float64(zi*w3i[j]), float64(zr*w3i[j])+float64(zi*w3r[j])
 		}
 	}
 }
@@ -179,12 +215,12 @@ func radix4StageFwd(re, im []float64, size int) {
 		dr := re[s+3*size:][:size:size]
 		di := im[s+3*size:][:size:size]
 		for k := range ar {
-			brk := br[k]*w1r[k] - bi[k]*w1i[k]
-			bik := br[k]*w1i[k] + bi[k]*w1r[k]
-			crk := cr[k]*w2r[k] - ci[k]*w2i[k]
-			cik := cr[k]*w2i[k] + ci[k]*w2r[k]
-			drk := dr[k]*w3r[k] - di[k]*w3i[k]
-			dik := dr[k]*w3i[k] + di[k]*w3r[k]
+			brk := float64(br[k]*w1r[k]) - float64(bi[k]*w1i[k])
+			bik := float64(br[k]*w1i[k]) + float64(bi[k]*w1r[k])
+			crk := float64(cr[k]*w2r[k]) - float64(ci[k]*w2i[k])
+			cik := float64(cr[k]*w2i[k]) + float64(ci[k]*w2r[k])
+			drk := float64(dr[k]*w3r[k]) - float64(di[k]*w3i[k])
+			dik := float64(dr[k]*w3i[k]) + float64(di[k]*w3r[k])
 			t0r, t0i := ar[k]+crk, ai[k]+cik
 			t1r, t1i := ar[k]-crk, ai[k]-cik
 			t2r, t2i := brk+drk, bik+dik
@@ -215,12 +251,12 @@ func radix4StageInv(re, im []float64, size int) {
 		dr := re[s+3*size:][:size:size]
 		di := im[s+3*size:][:size:size]
 		for k := range ar {
-			brk := br[k]*w1r[k] + bi[k]*w1i[k]
-			bik := bi[k]*w1r[k] - br[k]*w1i[k]
-			crk := cr[k]*w2r[k] + ci[k]*w2i[k]
-			cik := ci[k]*w2r[k] - cr[k]*w2i[k]
-			drk := dr[k]*w3r[k] + di[k]*w3i[k]
-			dik := di[k]*w3r[k] - dr[k]*w3i[k]
+			brk := float64(br[k]*w1r[k]) + float64(bi[k]*w1i[k])
+			bik := float64(bi[k]*w1r[k]) - float64(br[k]*w1i[k])
+			crk := float64(cr[k]*w2r[k]) + float64(ci[k]*w2i[k])
+			cik := float64(ci[k]*w2r[k]) - float64(cr[k]*w2i[k])
+			drk := float64(dr[k]*w3r[k]) + float64(di[k]*w3i[k])
+			dik := float64(di[k]*w3r[k]) - float64(dr[k]*w3i[k])
 			t0r, t0i := ar[k]+crk, ai[k]+cik
 			t1r, t1i := ar[k]-crk, ai[k]-cik
 			t2r, t2i := brk+drk, bik+dik

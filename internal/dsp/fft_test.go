@@ -55,7 +55,7 @@ func TestFFTMatchesNaiveDFT(t *testing.T) {
 		x := randComplex(r, n)
 		want := dftNaive(x, false)
 		got := append([]complex128(nil), x...)
-		fftPow2(got, false)
+		fftPow2(got, false, useAVX2)
 		if e := maxErrC(got, want); e > 1e-9*float64(n) {
 			t.Errorf("n=%d: FFT max error %g", n, e)
 		}
@@ -67,7 +67,7 @@ func TestIFFTInvertsFFT(t *testing.T) {
 	for _, n := range []int{2, 8, 32, 512} {
 		x := randComplex(r, n)
 		y := append([]complex128(nil), x...)
-		fftPow2(y, false)
+		fftPow2(y, false, useAVX2)
 		NewPlan(len(y)).Inverse(y)
 		if e := maxErrC(y, x); e > 1e-10*float64(n) {
 			t.Errorf("n=%d: roundtrip error %g", n, e)
@@ -176,7 +176,7 @@ func TestNewPlanSharesBluesteinSetup(t *testing.T) {
 }
 
 func TestFFTLinearityProperty(t *testing.T) {
-	// Property: fftPow2(a*x + b*y, false) == a*fftPow2(x, false) + b*fftPow2(y, false).
+	// Property: FFT(a*x + b*y) == a*FFT(x) + b*FFT(y).
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := 128
@@ -188,11 +188,11 @@ func TestFFTLinearityProperty(t *testing.T) {
 		for i := range mix {
 			mix[i] = a*x[i] + b*y[i]
 		}
-		fftPow2(mix, false)
+		fftPow2(mix, false, useAVX2)
 		fx := append([]complex128(nil), x...)
 		fy := append([]complex128(nil), y...)
-		fftPow2(fx, false)
-		fftPow2(fy, false)
+		fftPow2(fx, false, useAVX2)
+		fftPow2(fy, false, useAVX2)
 		for i := range mix {
 			if cmplx.Abs(mix[i]-(a*fx[i]+b*fy[i])) > 1e-8 {
 				return false
@@ -231,7 +231,7 @@ func TestParsevalProperty(t *testing.T) {
 func TestFFTImpulseIsFlat(t *testing.T) {
 	x := make([]complex128, 64)
 	x[0] = 1
-	fftPow2(x, false)
+	fftPow2(x, false, useAVX2)
 	for i, v := range x {
 		if cmplx.Abs(v-1) > 1e-12 {
 			t.Fatalf("impulse spectrum not flat at bin %d: %v", i, v)
@@ -250,9 +250,9 @@ func TestFFTShiftTheorem(t *testing.T) {
 		shifted[(i+shift)%n] = x[i]
 	}
 	fx := append([]complex128(nil), x...)
-	fftPow2(fx, false)
+	fftPow2(fx, false, useAVX2)
 	fs := append([]complex128(nil), shifted...)
-	fftPow2(fs, false)
+	fftPow2(fs, false, useAVX2)
 	for k := 0; k < n; k++ {
 		phase := cmplx.Rect(1, -2*math.Pi*float64(k*shift)/float64(n))
 		if cmplx.Abs(fs[k]-fx[k]*phase) > 1e-8 {
@@ -267,7 +267,7 @@ func BenchmarkFFT1024(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		copy(buf, x)
-		fftPow2(buf, false)
+		fftPow2(buf, false, useAVX2)
 	}
 }
 

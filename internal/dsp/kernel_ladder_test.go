@@ -86,10 +86,10 @@ func TestPackedDIFMatchesDITOrder(t *testing.T) {
 		x := randReal(r, 2*h)
 		// DIT reference: natural-order packed spectrum via the gather path.
 		nre, nim := make([]float64, h), make([]float64, h)
-		rfftHalf(nre, nim, x)
+		rfftHalf(nre, nim, x, useAVX2)
 		// DIF under test: permuted packed spectrum, no gather.
 		zre, zim := make([]float64, h), make([]float64, h)
-		rfftPacked(zre, zim, x)
+		rfftPacked(zre, zim, x, useAVX2)
 		perm := permFor(h)
 		for i := 0; i < h; i++ {
 			k := perm[i]

@@ -29,19 +29,24 @@ import (
 // the kernel's digit-reversed split layout and runs the forward n/2-point
 // transform; zre/zim (len n/2) end up holding the natural-order packed
 // spectrum z[k] = E[k] + i·O[k] of the even/odd sample subsequences.
-func rfftHalf(zre, zim, x []float64) {
+// avx2 selects the transform's path (see fftSoA).
+func rfftHalf(zre, zim, x []float64, avx2 bool) {
 	for i, p := range permFor(len(x) / 2) {
 		zre[i] = x[2*int(p)]
 		zim[i] = x[2*int(p)+1]
 	}
-	fftSoA(zre, zim, false)
+	fftSoA(zre, zim, false, avx2)
 }
 
 // RFFT computes the non-negative-frequency half of the DFT of a real
 // signal whose length n is a power of two, writing bins 0..n/2 into dst
 // (len(dst) must be n/2+1). The remaining bins follow from conjugate
 // symmetry: X[n-k] = conj(X[k]). x is left unmodified.
-func RFFT(dst []complex128, x []float64) {
+func RFFT(dst []complex128, x []float64) { rfft(dst, x, useAVX2) }
+
+// rfft is RFFT with the transform's path chosen by the caller (see
+// fftSoA).
+func rfft(dst []complex128, x []float64, avx2 bool) {
 	n := len(x)
 	if !IsPow2(n) {
 		panic(fmt.Sprintf("dsp: RFFT length %d is not a power of two", n))
@@ -56,7 +61,7 @@ func RFFT(dst []complex128, x []float64) {
 	h := n / 2
 	zre := GetF64(h)
 	zim := GetF64(h)
-	rfftHalf(zre, zim, x)
+	rfftHalf(zre, zim, x, avx2)
 	// Untangle: X[k] = E[k] + w^k·O[k] (w = e^{-2πi/n}); the mirror bin is
 	// X[h-k] = conj(E[k] - w^k·O[k]).
 	dst[0] = complex(zre[0]+zim[0], 0)
@@ -65,10 +70,10 @@ func RFFT(dst []complex128, x []float64) {
 	for k := 1; 2*k <= h; k++ {
 		zkr, zki := zre[k], zim[k]
 		zcr, zci := zre[h-k], -zim[h-k]
-		er, ei := (zkr+zcr)*0.5, (zki+zci)*0.5
-		or, oi := (zki-zci)*0.5, (zcr-zkr)*0.5 // (z[k]-conj(z[h-k])) / 2i
-		tr := ht.re[k]*or - ht.im[k]*oi
-		ti := ht.re[k]*oi + ht.im[k]*or
+		er, ei := float64((zkr+zcr)*0.5), float64((zki+zci)*0.5)
+		or, oi := float64((zki-zci)*0.5), float64((zcr-zkr)*0.5) // (z[k]-conj(z[h-k])) / 2i
+		tr := float64(ht.re[k]*or) - float64(ht.im[k]*oi)
+		ti := float64(ht.re[k]*oi) + float64(ht.im[k]*or)
 		dst[k] = complex(er+tr, ei+ti)
 		dst[h-k] = complex(er-tr, ti-ei)
 	}
@@ -88,17 +93,17 @@ func rfftInto(dre, dim []float64, x []float64) {
 	}
 	zre := GetF64(h)
 	zim := GetF64(h)
-	rfftHalf(zre, zim, x)
+	rfftHalf(zre, zim, x, useAVX2)
 	dre[0], dim[0] = zre[0]+zim[0], 0
 	dre[h], dim[h] = zre[0]-zim[0], 0
 	ht := halfTwiddlesFor(n)
 	for k := 1; 2*k <= h; k++ {
 		zkr, zki := zre[k], zim[k]
 		zcr, zci := zre[h-k], -zim[h-k]
-		er, ei := (zkr+zcr)*0.5, (zki+zci)*0.5
-		or, oi := (zki-zci)*0.5, (zcr-zkr)*0.5
-		tr := ht.re[k]*or - ht.im[k]*oi
-		ti := ht.re[k]*oi + ht.im[k]*or
+		er, ei := float64((zkr+zcr)*0.5), float64((zki+zci)*0.5)
+		or, oi := float64((zki-zci)*0.5), float64((zcr-zkr)*0.5)
+		tr := float64(ht.re[k]*or) - float64(ht.im[k]*oi)
+		ti := float64(ht.re[k]*oi) + float64(ht.im[k]*or)
 		dre[k], dim[k] = er+tr, ei+ti
 		dre[h-k], dim[h-k] = er-tr, ti-ei
 	}
@@ -112,8 +117,9 @@ func rfftInto(dre, dim []float64, x []float64) {
 // packed spectrum z[k] = E[k] + i·O[k] in the kernel's digit-reversed
 // position order (bin perm[i] at position i). There is no padded staging
 // buffer and no gather pass: zero-padding, deinterleave and permutation
-// all dissolve into this one sequential loop plus the DIF ladder.
-func rfftPacked(zre, zim []float64, x []float64) {
+// all dissolve into this one sequential loop plus the DIF ladder, on the
+// path avx2 selects (see fftSoA).
+func rfftPacked(zre, zim []float64, x []float64, avx2 bool) {
 	h := len(zre)
 	m := len(x) / 2
 	for j := 0; j < m; j++ {
@@ -127,17 +133,23 @@ func rfftPacked(zre, zim []float64, x []float64) {
 	for j := m; j < h; j++ {
 		zre[j], zim[j] = 0, 0
 	}
-	fftSoADIF(zre, zim)
+	fftSoADIF(zre, zim, avx2)
 }
 
 // interleaveScaled writes the first len(dst) samples of an inverse
 // half-length transform's natural-order packed output into dst with the
 // 1/h scale. Correlation callers keep only the valid lags, so the
-// wrapped tail of the circular result is never even interleaved.
-func interleaveScaled(dst []float64, zre, zim []float64, h int) {
+// wrapped tail of the circular result is never even interleaved. With
+// avx2, whole runs of eight outputs are written in assembly.
+func interleaveScaled(dst []float64, zre, zim []float64, h int, avx2 bool) {
 	s := 1 / float64(h)
 	n := len(dst)
-	for j := 0; 2*j+1 < n; j++ {
+	j := 0
+	if m := n / 8 * 4; avx2 && m > 0 {
+		interleaveScaledAVX2(dst[:2*m], zre[:m], zim[:m], s)
+		j = m
+	}
+	for ; 2*j+1 < n; j++ {
 		dst[2*j] = zre[j] * s
 		dst[2*j+1] = zim[j] * s
 	}
@@ -193,20 +205,21 @@ func newFoldSpec(sre, sim []float64, n int) *foldSpec {
 // retangle share the pair's twiddle, the template and twiddles stream
 // sequentially, and only the fold table's ib side jumps around. dst may
 // alias src (the correlation paths fold in place); every position is
-// written exactly once, so a distinct dst needs no pre-clearing.
-func foldSpecMulTo(dzre, dzim, zre, zim []float64, fs *foldSpec, n int) {
+// written exactly once, so a distinct dst needs no pre-clearing. With
+// avx2, whole runs of four pairs are folded in assembly.
+func foldSpecMulTo(dzre, dzim, zre, zim []float64, fs *foldSpec, n int, avx2 bool) {
 	ft := foldTableFor(n)
 	// Position 0 packs DC and Nyquist: X[0] = z0r+z0i, X[h] = z0r-z0i,
 	// both real, multiplied bin-wise and re-packed the same way.
 	z0r, z0i := zre[0], zim[0]
-	y0 := (z0r + z0i) * fs.s0
-	yh := (z0r - z0i) * fs.sh
-	dzre[0], dzim[0] = (y0+yh)*0.5, (y0-yh)*0.5
+	y0 := float64((z0r + z0i) * fs.s0)
+	yh := float64((z0r - z0i) * fs.sh)
+	dzre[0], dzim[0] = float64((y0+yh)*0.5), float64((y0-yh)*0.5)
 	if m := ft.mid; m >= 0 {
 		// Self-conjugate bin h/2: w^{h/2} = -j collapses the untangle to
 		// X = conj(z[m]) and the retangle to conj(Y).
 		xr, xi := zre[m], -zim[m]
-		yr, yi := xr*fs.smr-xi*fs.smi, xr*fs.smi+xi*fs.smr
+		yr, yi := float64(xr*fs.smr)-float64(xi*fs.smi), float64(xr*fs.smi)+float64(xi*fs.smr)
 		dzre[m], dzim[m] = yr, -yi
 	}
 	ia := ft.ia
@@ -217,21 +230,27 @@ func foldSpecMulTo(dzre, dzim, zre, zim []float64, fs *foldSpec, n int) {
 	aim := fs.aim[:len(ia)]
 	bre := fs.bre[:len(ia)]
 	bim := fs.bim[:len(ia)]
+	if m := len(ia) &^ 3; avx2 && m > 0 {
+		h := n / 2
+		foldPairsAVX2(dzre[:h], dzim[:h], zre[:h], zim[:h], ia[:m], ib[:m],
+			wre[:m], wim[:m], are[:m], aim[:m], bre[:m], bim[:m])
+		ia, ib, wre, wim, are, aim, bre, bim = ia[m:], ib[m:], wre[m:], wim[m:], are[m:], aim[m:], bre[m:], bim[m:]
+	}
 	for p, i := range ia {
 		j := ib[p]
 		zar, zai := zre[i], zim[i]
 		zbr, zbi := zre[j], zim[j]
-		er, ei := (zar+zbr)*0.5, (zai-zbi)*0.5
-		or, oi := (zai+zbi)*0.5, (zbr-zar)*0.5 // (z_a - conj(z_b)) / 2j
-		tr := wre[p]*or - wim[p]*oi
-		ti := wre[p]*oi + wim[p]*or
+		er, ei := float64((zar+zbr)*0.5), float64((zai-zbi)*0.5)
+		or, oi := float64((zai+zbi)*0.5), float64((zbr-zar)*0.5) // (z_a - conj(z_b)) / 2j
+		tr := float64(wre[p]*or) - float64(wim[p]*oi)
+		ti := float64(wre[p]*oi) + float64(wim[p]*or)
 		xar, xai := er+tr, ei+ti // X[k]
 		xbr, xbi := er-tr, ti-ei // X[h-k] = conj(e - w^k·o)
-		yar, yai := xar*are[p]-xai*aim[p], xar*aim[p]+xai*are[p]
-		ybr, ybi := xbr*bre[p]-xbi*bim[p], xbr*bim[p]+xbi*bre[p]
-		er, ei = (yar+ybr)*0.5, (yai-ybi)*0.5
-		sr, si := (yar-ybr)*0.5, (yai+ybi)*0.5
-		or, oi = sr*wre[p]+si*wim[p], si*wre[p]-sr*wim[p] // s · conj(w^k)
+		yar, yai := float64(xar*are[p])-float64(xai*aim[p]), float64(xar*aim[p])+float64(xai*are[p])
+		ybr, ybi := float64(xbr*bre[p])-float64(xbi*bim[p]), float64(xbr*bim[p])+float64(xbi*bre[p])
+		er, ei = float64((yar+ybr)*0.5), float64((yai-ybi)*0.5)
+		sr, si := float64((yar-ybr)*0.5), float64((yai+ybi)*0.5)
+		or, oi = float64(sr*wre[p])+float64(si*wim[p]), float64(si*wre[p])-float64(sr*wim[p]) // s · conj(w^k)
 		dzre[i], dzim[i] = er-oi, ei+or
 		dzre[j], dzim[j] = er+oi, or-ei
 	}

@@ -55,7 +55,7 @@ func TestRFFTMatchesFullComplexFFT(t *testing.T) {
 	for i, v := range x {
 		full[i] = complex(v, 0)
 	}
-	fftPow2(full, false)
+	fftPow2(full, false, useAVX2)
 	half := make([]complex128, n/2+1)
 	RFFT(half, x)
 	for k := 0; k <= n/2; k++ {

@@ -8,6 +8,8 @@
 package ranging
 
 import (
+	"math"
+
 	"uwpos/internal/dsp"
 	"uwpos/internal/ingest"
 	"uwpos/internal/sig"
@@ -116,17 +118,19 @@ func (d *Detector) Consumer(template int) *StreamDetector {
 
 // validatePN is the stage-2 scoring shared by the one-shot and streaming
 // detectors: the mean pairwise correlation of the PN-corrected OFDM
-// symbol bodies at the candidate start.
+// symbol bodies at the candidate start, each pair scored as
+// dsp.SegmentCorrelation scores it, with each body's energy summed once.
 func validatePN(p sig.Params, stream []float64, start int) float64 {
 	if start < 0 || start+p.PreambleLen() > len(stream) {
 		return 0
 	}
-	// One pooled slab holds every PN-corrected symbol body; the
-	// correlations only read it.
-	n := p.SymbolLen
-	slab := dsp.GetF64(p.NumSymbols * n)
+	// One pooled slab holds every PN-corrected symbol body and, after
+	// them, each body's energy; the correlations only read it.
+	n, ns := p.SymbolLen, p.NumSymbols
+	slab := dsp.GetF64(ns * (n + 1))
 	defer dsp.PutF64(slab)
-	for s := 0; s < p.NumSymbols; s++ {
+	energy := slab[ns*n:]
+	for s := 0; s < ns; s++ {
 		a, b := p.SymbolAt(s)
 		seg := slab[s*n : (s+1)*n]
 		copy(seg, stream[start+a:start+b])
@@ -135,12 +139,17 @@ func validatePN(p sig.Params, stream []float64, start int) float64 {
 				seg[i] = -seg[i]
 			}
 		}
+		energy[s] = dsp.Dot(seg, seg)
 	}
 	var sum float64
 	var count int
-	for i := 0; i < p.NumSymbols; i++ {
-		for j := i + 1; j < p.NumSymbols; j++ {
-			sum += dsp.SegmentCorrelation(slab[i*n:(i+1)*n], slab[j*n:(j+1)*n])
+	for i := 0; i < ns; i++ {
+		for j := i + 1; j < ns; j++ {
+			var c float64
+			if energy[i] != 0 && energy[j] != 0 {
+				c = dsp.Dot(slab[i*n:(i+1)*n], slab[j*n:(j+1)*n]) / math.Sqrt(energy[i]*energy[j])
+			}
+			sum += c
 			count++
 		}
 	}
